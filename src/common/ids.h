@@ -155,6 +155,10 @@ inline constexpr size_t TxnPartitionOf(TxnId txn, size_t partitions) {
 template <typename IdType>
 class IdGenerator {
  public:
+  IdGenerator() = default;
+  /// The first Next() returns `last + 1`.
+  explicit IdGenerator(uint64_t last) : last_(last) {}
+
   IdType Next() {
     return IdType(last_.fetch_add(1, std::memory_order_relaxed) + 1);
   }

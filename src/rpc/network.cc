@@ -4,17 +4,21 @@
 
 namespace concord::rpc {
 
-Network::Network(SimClock* clock, uint64_t seed) : clock_(clock), rng_(seed) {}
+Network::Network(SimClock* clock, uint64_t seed, NodeId first_node)
+    : clock_(clock),
+      rng_(seed),
+      id_base_(first_node.value() - 1),
+      node_gen_(id_base_) {}
 
 NodeId Network::AddNode(const std::string& name) {
   MutexLock lock(&mu_);
   NodeId id = node_gen_.Next();
-  if (id.value() > kMaxNodes) {
+  if (id.value() - id_base_ > kMaxNodes) {
     CONCORD_ERROR("net", "node limit " << kMaxNodes << " exceeded");
     std::abort();
   }
   names_.emplace(id, name);
-  up_[id.value() - 1].store(true, std::memory_order_relaxed);
+  up_[id.value() - id_base_ - 1].store(true, std::memory_order_relaxed);
   return id;
 }
 
@@ -31,11 +35,11 @@ void Network::SetNodeUp(NodeId node, bool up) {
   MutexLock lock(&mu_);
   auto it = names_.find(node);
   if (it == names_.end()) return;
-  if (up_[node.value() - 1].load(std::memory_order_relaxed) != up) {
+  if (up_[node.value() - id_base_ - 1].load(std::memory_order_relaxed) != up) {
     CONCORD_INFO("net", "node " << it->second << " is now "
                                 << (up ? "UP" : "DOWN"));
   }
-  up_[node.value() - 1].store(up, std::memory_order_relaxed);
+  up_[node.value() - id_base_ - 1].store(up, std::memory_order_relaxed);
 }
 
 SimTime Network::Latency(NodeId from, NodeId to) const {

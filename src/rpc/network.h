@@ -47,7 +47,11 @@ class Network {
   /// client-TM's cache-hit fast path).
   static constexpr size_t kMaxNodes = 1024;
 
-  Network(SimClock* clock, uint64_t seed);
+  /// `first_node` is the id the first AddNode returns. A process that
+  /// hosts one real machine passes that machine's identity, so ids
+  /// derived from its NodeId (a ClientTm's DOP and 2PC namespaces) stay
+  /// distinct across processes sharing a server.
+  Network(SimClock* clock, uint64_t seed, NodeId first_node = NodeId(1));
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -60,8 +64,8 @@ class Network {
   /// node's up/down state, also consulted by cache-hit checkouts).
   bool IsUp(NodeId node) const {
     uint64_t value = node.value();
-    return value >= 1 && value <= node_gen_.last() &&
-           up_[value - 1].load(std::memory_order_relaxed);
+    return value > id_base_ && value <= node_gen_.last() &&
+           up_[value - id_base_ - 1].load(std::memory_order_relaxed);
   }
   /// Crash / restart a machine. Crashing is the caller's cue to also
   /// wipe the volatile state of components hosted on that machine.
@@ -98,7 +102,7 @@ class Network {
     MutexLock lock(&mu_);
     stats_ = NetworkStats{};
   }
-  size_t node_count() const { return node_gen_.last(); }
+  size_t node_count() const { return node_gen_.last() - id_base_; }
 
  private:
   SimClock* clock_;
@@ -108,9 +112,12 @@ class Network {
   /// component's call.
   mutable Mutex mu_;
   Rng rng_ GUARDED_BY(mu_);
+  /// One below the first node id; slot i of up_ is node id_base_ + i + 1.
+  const uint64_t id_base_;
   IdGenerator<NodeId> node_gen_;
   std::unordered_map<NodeId, std::string> names_ GUARDED_BY(mu_);
-  /// Indexed by NodeId value - 1; slots past node_gen_.last() unused.
+  /// Indexed by NodeId value - id_base_ - 1; slots past the last
+  /// registered node unused.
   std::array<std::atomic<bool>, kMaxNodes> up_{};
   SimTime lan_latency_ = 2 * kMillisecond;
   SimTime local_latency_ = 20 * kMicrosecond;

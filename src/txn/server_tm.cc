@@ -738,24 +738,105 @@ Status ServerTm::Decide(TxnId txn, bool commit) {
     ++tpart.counters.txns_decided_abort;
     return Status::OK();
   }
-  // The apply choreography runs here on the dispatcher — ApplyCheckin
-  // and the finishes each route to their owning partitions.
-  Status first_error = Status::OK();
-  for (storage::DovRecord& record : staged.staged_checkins) {
-    Status st = ApplyCheckin(std::move(record));
-    if (!st.ok() && first_error.ok()) first_error = st;
-  }
+  // The apply choreography runs here on the dispatcher. The checkins
+  // and the ledger erase commit as one repository transaction, so a
+  // kill either leaves the entry staged with nothing applied or leaves
+  // neither; the finishes then route to their owning partitions.
+  Status first_error = ApplyStagedCheckins(
+      txn, std::move(staged.staged_checkins), staged.persisted);
   for (const PreparedTxn::StagedFinish& finish : staged.staged_finishes) {
     Status st = finish.commit_outcome ? CommitDop(finish.dop)
                                       : AbortDop(finish.dop);
     if (!st.ok() && first_error.ok()) first_error = st;
   }
-  // Apply-then-erase: a crash between the two re-stages the entry at
-  // restart, where already-committed checkins are recognized by id and
-  // skipped — a retried Decide is idempotent either side of the kill.
-  if (staged.persisted) ErasePersistedPrepared(txn);
   ++tpart.counters.txns_decided_commit;
   return first_error;
+}
+
+Status ServerTm::ApplyStagedCheckins(TxnId txn,
+                                     std::vector<storage::DovRecord> records,
+                                     bool erase_ledger) {
+  CONCORD_ASSERT_OFF_EXECUTOR();
+  if (records.empty() && !erase_ledger) return Status::OK();
+  // The scope hand-over needs each record's id and DA after the
+  // records have moved into the repository transaction.
+  std::vector<std::pair<DovId, DaId>> owners;
+  owners.reserve(records.size());
+  std::vector<std::vector<size_t>> by_part(engine_.count());
+  std::vector<size_t> touched;
+  for (size_t i = 0; i < records.size(); ++i) {
+    owners.emplace_back(records[i].id, records[i].owner_da);
+    size_t p = DovPart(records[i].id);
+    if (by_part[p].empty()) touched.push_back(p);
+    by_part[p].push_back(i);
+  }
+  auto take_short_locks = [&](size_t p) {
+    for (size_t i : by_part[p]) {
+      locks_.Slice(p).AcquireShort(owners[i].first);
+    }
+  };
+  auto commit = [&]() -> Status {
+    TxnId repo_txn = repository_->Begin();
+    Status st = Status::OK();
+    for (storage::DovRecord& record : records) {
+      st = repository_->Put(repo_txn, std::move(record));
+      if (!st.ok()) break;
+    }
+    if (st.ok() && erase_ledger) {
+      st = repository_->DeleteMeta(repo_txn, PreparedLedgerKey(txn));
+    }
+    if (st.ok()) st = repository_->Commit(repo_txn);
+    if (!st.ok()) repository_->Abort(repo_txn).ok();
+    return st;
+  };
+  // Partition-resident tail: the new DOVs join their DA's scope.
+  auto hand_over = [&](size_t p, const Status& committed) {
+    LockManager& slice = locks_.Slice(p);
+    for (size_t i : by_part[p]) {
+      if (committed.ok()) {
+        slice.SetScopeOwner(owners[i].first, owners[i].second);
+      }
+      slice.ReleaseShort(owners[i].first);
+    }
+    if (committed.ok()) {
+      parts_[p]->counters.checkins += by_part[p].size();
+    } else {
+      parts_[p]->counters.checkin_failures += by_part[p].size();
+    }
+  };
+
+  Status st = Status::OK();
+  if (touched.size() == 1) {
+    size_t p = touched.front();
+    st = engine_.Run(p, [&]() -> Status {
+      take_short_locks(p);
+      Status committed = commit();
+      hand_over(p, committed);
+      return committed;
+    });
+  } else {
+    // Records spanning partitions (or none: an erase-only entry
+    // re-staged from an older log) commit here. Short locks are depth
+    // counters, safe to take off the owner (see Checkout); only the
+    // scope hand-over fans out.
+    for (size_t p : touched) take_short_locks(p);
+    st = commit();
+    std::vector<std::future<void>> done;
+    for (size_t p : touched) {
+      done.push_back(
+          engine_.Post(p, [&hand_over, p, &st] { hand_over(p, st); }));
+    }
+    for (auto& f : done) f.get();
+  }
+  if (!st.ok()) {
+    // Validated at prepare time, so this is a storage fault. Resolve
+    // the entry anyway, as a failed apply always has: a ledger key left
+    // behind would re-stage a decided transaction at the next restart.
+    CONCORD_INFO("server-tm", "staged checkin apply failed for txn "
+                                  << txn.value() << ": " << st.ToString());
+    if (erase_ledger) ErasePersistedPrepared(txn);
+  }
+  return st;
 }
 
 bool ServerTm::HasPrepared(TxnId txn) const {
@@ -835,9 +916,10 @@ Status ServerTm::PersistPrepared(TxnId txn) {
     MutexLock lock(&tpart.mu);
     auto it = tpart.prepared.find(txn);
     if (it == tpart.prepared.end()) return false;
-    if (it->second.staged_checkins.empty() &&
-        it->second.staged_finishes.empty()) {
-      return false;  // lock-only stage: nothing a crash could lose
+    if (it->second.staged_checkins.empty()) {
+      // Finish- or lock-only stage: what it would release dies with
+      // the process, so there is nothing a crash could lose.
+      return false;
     }
     encoded = EncodePreparedStage(it->second);
     it->second.persisted = true;
@@ -869,8 +951,8 @@ void ServerTm::ErasePersistedPrepared(TxnId txn) {
     repository_->Abort(meta_txn);
   }
   if (!st.ok()) {
-    // Worst case the entry is re-staged at the next restart and the
-    // contains-check skips its already-applied records.
+    // Worst case the entry is re-staged at the next restart and waits
+    // there for a repeated decision.
     CONCORD_WARN("server-tm", "cannot erase 2PC stage for txn "
                                   << txn.value() << ": " << st.ToString());
   }

@@ -203,8 +203,10 @@ class ServerTm {
   // registrations execute immediately (with undo records), while
   // state-changing operations are validated, answered, and *staged* —
   // and a later [Decide] envelope applies or discards the stage. The
-  // ledger is volatile server memory (sliced per txn partition): a
-  // crash wipes it, which is the presumed-abort outcome.
+  // ledger lives in server memory (sliced per txn partition); a stage
+  // carrying a checkin is also made durable (PersistPrepared) before
+  // the yes-vote, every other stage stays volatile — a crash wipes it,
+  // which is the presumed-abort outcome.
 
   /// Phase-1 Begin-of-DOP (participant enlistment): executes
   /// immediately and survives either decision — registrations are
@@ -227,16 +229,19 @@ class ServerTm {
   /// lock release / deregistration for Decide(commit).
   Status PrepareFinish(TxnId txn, DopId dop, bool commit_outcome);
   /// Phase-2: applies (commit) or discards + undoes (abort) the staged
-  /// transaction. Idempotent: a repeated decision for an already-
-  /// resolved or never-prepared transaction answers OK — with a
-  /// volatile ledger, "nothing staged here" and "already resolved" are
-  /// indistinguishable and both are safe to acknowledge. EXCEPT while a
-  /// crash wipe is pending (between Crash() and the end of Recover()):
-  /// there "nothing staged" may mean the wipe beat the lookup to a
-  /// persisted stage that recovery will re-stage, so an OK would
-  /// acknowledge a commit whose effects never applied — the decision
-  /// answers kUnavailable instead and the coordinator must retry
-  /// against the recovered node.
+  /// transaction. A commit publishes every staged checkin AND deletes
+  /// the durable ledger key in ONE repository transaction (one WAL
+  /// batch, one fsync), so no crash can separate the apply from the
+  /// erase; the staged End-of-DOP outcomes then release their locks.
+  /// Idempotent: a repeated decision for an already-resolved or
+  /// never-prepared transaction answers OK — "nothing staged here" and
+  /// "already resolved" are indistinguishable and both are safe to
+  /// acknowledge. EXCEPT while a crash wipe is pending (between
+  /// Crash() and the end of Recover()): there "nothing staged" may
+  /// mean the wipe beat the lookup to a persisted stage that recovery
+  /// will re-stage, so an OK would acknowledge a commit whose effects
+  /// never applied — the decision answers kUnavailable instead and the
+  /// coordinator must retry against the recovered node.
   Status Decide(TxnId txn, bool commit);
   /// Test introspection: true while `txn` has staged/undoable state.
   bool HasPrepared(TxnId txn) const;
@@ -253,21 +258,28 @@ class ServerTm {
   /// the yes-vote returns — a server that cannot persist its stage
   /// must not vote yes, or a kill -9 between the vote and the Decide
   /// would lose a checkin the coordinator goes on to commit. No-op
-  /// when nothing durable is staged (lock-only entries stay volatile,
-  /// which also keeps direct Prepare* callers — and their
-  /// presumed-abort crash semantics — unchanged).
+  /// unless a checkin is staged (presumed abort: a participant whose
+  /// stage leaves no durable trace writes no log record). Finish-only
+  /// and lock-only stages stay volatile — the registrations and
+  /// derivation locks they would release die with the process anyway,
+  /// and a Decide that finds nothing staged acknowledges (or, during a
+  /// crash wipe, refuses). Direct Prepare* callers that skip this
+  /// call keep presumed-abort crash semantics for every stage.
   Status PersistPrepared(TxnId txn);
 
   /// Re-stages persisted phase-1 entries from the repository's meta
   /// table after a restart (Recover() runs it; a fresh concordd
   /// process calls it after constructing over a recovered repository).
-  /// Staged checkins already present in the committed store (the crash
-  /// hit between apply and ledger erase) are skipped; staged
-  /// End-of-DOP outcomes are dropped — the registrations and
-  /// derivation locks they would release were volatile and died with
-  /// the previous incarnation. Every staged id is reserved against the
-  /// DOV id generator so new checkins cannot collide with a stage that
-  /// applies later. Returns the number of transactions re-staged.
+  /// Staged checkins already present in the committed store are
+  /// skipped. Decide applies and erases in one transaction, but logs
+  /// written by older servers applied each checkin and erased the
+  /// ledger key in separate commits, and a crash between them left an
+  /// applied record under a live key. Staged End-of-DOP outcomes are
+  /// dropped — the registrations and derivation locks they would
+  /// release were volatile and died with the previous incarnation.
+  /// Every staged id is reserved against the DOV id generator so new
+  /// checkins cannot collide with a stage that applies later. Returns
+  /// the number of transactions re-staged.
   size_t RestagePreparedFromStable();
 
   /// Simulated server crash. One wipe task is posted to EVERY
@@ -326,7 +338,7 @@ class ServerTm {
     /// checkouts — released again at Decide(abort).
     std::vector<std::pair<DovId, DaId>> acquired_locks;
     /// True once PersistPrepared wrote the entry to the meta table —
-    /// Decide then erases the durable copy after resolving.
+    /// Decide then erases the durable copy as it resolves.
     bool persisted = false;
   };
 
@@ -342,7 +354,9 @@ class ServerTm {
         GUARDED_BY(mu);
     /// Registrations wiped by Crash() and not re-registered since.
     std::unordered_set<DopId> lost_dops GUARDED_BY(mu);
-    /// Cross-shard 2PC ledger slice (volatile: crash = presumed abort).
+    /// Cross-shard 2PC ledger slice. A crash wipes it; recovery
+    /// re-stages the persisted (checkin-carrying) stages and the rest
+    /// are presumed aborted.
     std::unordered_map<TxnId, PreparedTxn> prepared GUARDED_BY(mu);
     mutable PartitionCounters counters;
   };
@@ -385,10 +399,20 @@ class ServerTm {
   void PublishDerivationLock(DovId dov, DaId da);
 
   /// Commits a fully-built, already-validated record to the repository
-  /// and hands the new DOV to the creating DA's scope — the shared
-  /// tail of Checkout-path Checkin and Decide-applied staged checkins.
-  /// One task on the new DOV's partition.
+  /// and hands the new DOV to the creating DA's scope — the tail of the
+  /// direct Checkin. One task on the new DOV's partition.
   Status ApplyCheckin(storage::DovRecord record);
+
+  /// Decide(commit)'s apply: ONE repository transaction writes every
+  /// staged record and, when `erase_ledger`, deletes "2pc/<txn>"; the
+  /// short locks, scope owners and checkin counters stay on the
+  /// records' partitions. Records on one partition run as one task on
+  /// it; records spanning partitions take their short locks on the
+  /// dispatcher, commit there, and fan the scope hand-over out per
+  /// partition.
+  Status ApplyStagedCheckins(TxnId txn,
+                             std::vector<storage::DovRecord> records,
+                             bool erase_ledger);
 
   /// The partition-resident body of BeginDop (runs on the owner).
   Status BeginDopIn(Partition& part, DopId dop, DaId da);
@@ -413,7 +437,8 @@ class ServerTm {
   /// process anyway).
   static std::string EncodePreparedStage(const PreparedTxn& entry);
   static Result<PreparedTxn> DecodePreparedStage(std::string_view payload);
-  /// Deletes `txn`'s meta-table entry (after Decide resolved it).
+  /// Deletes `txn`'s meta-table entry in its own repository transaction
+  /// (Decide(abort), and a commit whose apply failed).
   void ErasePersistedPrepared(TxnId txn);
 
   storage::Repository* repository_;

@@ -5,16 +5,25 @@
 // shard keeps serving; recovery re-derives the node's lock tables).
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_tm_env.h"
 #include "common/ids.h"
 #include "sim/simulator.h"
 #include "storage/repository.h"
+#include "storage/wal.h"
 #include "txn/client_tm.h"
 #include "txn/placement.h"
 #include "txn/remote_server_stub.h"
+#include "txn/scope_authority.h"
+#include "txn/server_service.h"
 #include "txn/server_tm.h"
 
 namespace concord::txn {
@@ -385,6 +394,256 @@ TEST(MultiServerPlaneTest, DecideDuringCrashWipeIsRefusedUntilRecovery) {
   EXPECT_TRUE(tm.Decide(txn, true).ok());
   EXPECT_TRUE(plane.shards[0].repo->Contains(*staged));
   EXPECT_TRUE(tm.Decide(txn, true).ok());
+}
+
+/// One server-TM over a file-backed repository: WAL flushes are real
+/// fsyncs, and Restart() closes the repository and re-opens it from its
+/// directory, as a restarted concordd would.
+class DurableServer {
+ public:
+  DurableServer() {
+    char tmpl[] = "/tmp/concord_multi_server_XXXXXX";
+    const char* dir = ::mkdtemp(tmpl);
+    if (dir == nullptr) std::abort();
+    dir_ = dir;
+    Start();
+  }
+  ~DurableServer() {
+    Stop();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+  DurableServer(const DurableServer&) = delete;
+  DurableServer& operator=(const DurableServer&) = delete;
+
+  void Restart() {
+    Stop();
+    Start();
+  }
+  ServerTm& tm() { return *tm_; }
+  storage::Repository& repo() { return *repo_; }
+
+  storage::DesignObject MakeObject(int64_t value) const {
+    storage::DesignObject object(dot_);
+    object.SetAttr("value", value);
+    return object;
+  }
+
+  /// Runs one envelope through the dispatch seam the transports use,
+  /// which is where phase 1 persists its stage before the vote.
+  BatchReply Dispatch(std::vector<ServerRequest> ops) {
+    BatchRequest batch;
+    batch.ops = std::move(ops);
+    return DispatchBatch(*tm_, batch);
+  }
+
+ private:
+  void Start() {
+    repo_ = std::make_unique<storage::Repository>(&clock_);
+    storage::DesignObjectType* type = repo_->schema().DefineType("cell");
+    type->AddAttr({"value", storage::AttrType::kInt, true, 0.0, 1e9});
+    dot_ = type->id();
+    Status opened = repo_->Open(dir_);
+    ASSERT_TRUE(opened.ok()) << opened.ToString();
+    tm_ = std::make_unique<ServerTm>(repo_.get(), &network_, node_, &scope_);
+  }
+  void Stop() {
+    tm_.reset();
+    repo_.reset();  // closes the log
+  }
+
+  std::string dir_;
+  SimClock clock_;
+  rpc::Network network_{&clock_, 1};
+  NodeId node_ = network_.AddNode("server");
+  PermissiveScopeAuthority scope_;
+  DotId dot_;
+  std::unique_ptr<storage::Repository> repo_;
+  std::unique_ptr<ServerTm> tm_;
+};
+
+/// Repository-transaction and WAL-flush counters, for deltas.
+struct RepoCounts {
+  uint64_t begun;
+  uint64_t committed;
+  size_t flushes;
+  static RepoCounts Of(const storage::Repository& repo) {
+    return {repo.stats().txns_begun.load(), repo.stats().txns_committed.load(),
+            repo.wal().flushes()};
+  }
+};
+
+/// The records of the last transaction committed to `repo`'s log, in
+/// log order.
+std::vector<storage::WalRecord> LastCommittedTxn(
+    const storage::Repository& repo) {
+  std::vector<storage::WalRecord> log = repo.wal().ReadAll();
+  std::vector<storage::WalRecord> txn;
+  for (auto it = log.rbegin(); it != log.rend(); ++it) {
+    if (it->type != storage::WalRecord::Type::kCommit) continue;
+    for (const storage::WalRecord& record : log) {
+      if (record.txn == it->txn) txn.push_back(record);
+    }
+    break;
+  }
+  return txn;
+}
+
+std::string LedgerKey(TxnId txn) {
+  return "2pc/" + std::to_string(txn.value());
+}
+
+bool VotedYes(const ServerReply& reply) {
+  const auto* vote = std::get_if<PrepareReply>(&reply.body);
+  return vote != nullptr && vote->vote;
+}
+
+/// Phase 1 of the checkin participant of a cross-shard CheckinCommit:
+/// [Prepare, Checkin, CommitDop] for a DOP registered beforehand.
+/// Returns the staged DOV id.
+DovId PrepareCheckinStage(DurableServer& server, TxnId txn, DopId dop,
+                          DaId da, int64_t value) {
+  EXPECT_TRUE(server.tm().BeginDop(dop, da).ok());
+  BatchReply reply = server.Dispatch(
+      {PrepareRequest{txn},
+       CheckinRequest{dop, server.MakeObject(value), {}, 0},
+       CommitDopRequest{dop}});
+  if (reply.ops.size() != 3) {
+    ADD_FAILURE() << "phase 1 answered " << reply.ops.size() << " ops";
+    return DovId();
+  }
+  for (const ServerReply& op : reply.ops) {
+    EXPECT_TRUE(op.status.ok()) << op.status.ToString();
+  }
+  EXPECT_TRUE(VotedYes(reply.ops[0]));
+  const auto* checkin = std::get_if<CheckinReply>(&reply.ops[1].body);
+  return checkin == nullptr ? DovId() : checkin->dov;
+}
+
+TEST(MultiServerPlaneTest, FinishOnlyParticipantCommitsNoRepositoryTxn) {
+  // The input-side participant of a cross-shard CheckinCommit stages
+  // only its End-of-DOP. What that would release dies with the
+  // process, so neither phase 1 nor the decision touches the log.
+  DurableServer server;
+  TxnId txn(0x100000001);
+  DopId dop(0x100000007);
+  ASSERT_TRUE(server.tm().BeginDop(dop, DaId(10)).ok());
+  RepoCounts before = RepoCounts::Of(server.repo());
+
+  BatchReply phase1 =
+      server.Dispatch({PrepareRequest{txn}, CommitDopRequest{dop}});
+  ASSERT_EQ(phase1.ops.size(), 2u);
+  EXPECT_TRUE(VotedYes(phase1.ops[0]));
+  EXPECT_TRUE(phase1.ops[1].status.ok()) << phase1.ops[1].status.ToString();
+  EXPECT_TRUE(server.tm().HasPrepared(txn));
+  EXPECT_TRUE(server.repo().MetaKeysWithPrefix("2pc/").empty());
+
+  BatchReply decided = server.Dispatch({DecideRequest{txn, true}});
+  ASSERT_EQ(decided.ops.size(), 1u);
+  EXPECT_TRUE(decided.ops[0].status.ok()) << decided.ops[0].status.ToString();
+  EXPECT_FALSE(server.tm().HasPrepared(txn));
+  // The staged finish applied: the registration is released.
+  EXPECT_TRUE(server.tm().DaOfDop(dop).status().IsNotFound());
+
+  RepoCounts after = RepoCounts::Of(server.repo());
+  EXPECT_EQ(after.begun - before.begun, 0u);
+  EXPECT_EQ(after.committed - before.committed, 0u);
+  EXPECT_EQ(after.flushes - before.flushes, 0u);
+}
+
+TEST(MultiServerPlaneTest, CheckinParticipantDecideIsOneRepositoryTxn) {
+  DurableServer server;
+  TxnId txn(0x200000001);
+  DopId dop(0x200000003);
+  DaId da(10);
+  DovId dov = PrepareCheckinStage(server, txn, dop, da, 42);
+  // Persist-before-vote: the stage is durable, nothing is applied.
+  EXPECT_EQ(server.repo().MetaKeysWithPrefix("2pc/"),
+            std::vector<std::string>{LedgerKey(txn)});
+  EXPECT_FALSE(server.repo().Contains(dov));
+  RepoCounts before = RepoCounts::Of(server.repo());
+
+  BatchReply decided = server.Dispatch({DecideRequest{txn, true}});
+  ASSERT_EQ(decided.ops.size(), 1u);
+  EXPECT_TRUE(decided.ops[0].status.ok()) << decided.ops[0].status.ToString();
+
+  // One repository transaction, one WAL flush...
+  RepoCounts after = RepoCounts::Of(server.repo());
+  EXPECT_EQ(after.begun - before.begun, 1u);
+  EXPECT_EQ(after.committed - before.committed, 1u);
+  EXPECT_EQ(after.flushes - before.flushes, 1u);
+  // ...carrying both the DOV write and the ledger-key delete.
+  std::vector<storage::WalRecord> last = LastCommittedTxn(server.repo());
+  ASSERT_EQ(last.size(), 4u);
+  EXPECT_EQ(last[0].type, storage::WalRecord::Type::kBegin);
+  EXPECT_EQ(last[1].type, storage::WalRecord::Type::kWriteDov);
+  ASSERT_TRUE(last[1].dov.has_value());
+  EXPECT_EQ(last[1].dov->id, dov);
+  EXPECT_EQ(last[2].type, storage::WalRecord::Type::kDeleteMeta);
+  EXPECT_EQ(last[2].meta_key, LedgerKey(txn));
+  EXPECT_EQ(last[3].type, storage::WalRecord::Type::kCommit);
+
+  EXPECT_TRUE(server.repo().Contains(dov));
+  EXPECT_TRUE(server.repo().MetaKeysWithPrefix("2pc/").empty());
+  EXPECT_EQ(server.tm().locks().ScopeOwner(dov), da);
+  EXPECT_TRUE(server.tm().DaOfDop(dop).status().IsNotFound());
+  EXPECT_EQ(server.tm().stats().checkins, 1u);
+}
+
+TEST(MultiServerPlaneTest, DecidedCommitSurvivesRestartWithNoLedgerResidue) {
+  DurableServer server;
+  TxnId txn(0x300000001);
+  DovId dov = PrepareCheckinStage(server, txn, DopId(0x300000005), DaId(10), 7);
+  ASSERT_TRUE(server.tm().Decide(txn, /*commit=*/true).ok());
+
+  server.Restart();
+  auto record = server.repo().Get(dov);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_EQ(record->data.GetNumeric("value").value_or(-1), 7);
+  EXPECT_TRUE(server.repo().MetaKeysWithPrefix("2pc/").empty());
+  EXPECT_EQ(server.tm().RestagePreparedFromStable(), 0u);
+  EXPECT_FALSE(server.tm().HasPrepared(txn));
+}
+
+TEST(MultiServerPlaneTest, MultiPartitionStageAppliesInOneRepositoryTxn) {
+  Plane plane(1, /*workstations=*/1, /*partitions=*/2);
+  ServerTm& tm = *plane.shards[0].tm;
+  storage::Repository& repo = *plane.shards[0].repo;
+  DaId da(10);
+  DopId dop(0x400000002);
+  TxnId txn(0x400000001);
+  ASSERT_TRUE(tm.BeginDop(dop, da).ok());
+  auto first = tm.PrepareCheckin(txn, dop, plane.MakeObject(1), {}, 0);
+  auto second = tm.PrepareCheckin(txn, dop, plane.MakeObject(2), {}, 0);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  size_t p_first = DovPartitionOf(*first, 2);
+  size_t p_second = DovPartitionOf(*second, 2);
+  ASSERT_NE(p_first, p_second) << "consecutive ids share a partition";
+  ASSERT_TRUE(tm.PersistPrepared(txn).ok());
+  uint64_t checkins_first = tm.partition_stats(p_first).checkins;
+  uint64_t checkins_second = tm.partition_stats(p_second).checkins;
+  RepoCounts before = RepoCounts::Of(repo);
+
+  ASSERT_TRUE(tm.Decide(txn, /*commit=*/true).ok());
+
+  // Atomic: both records and the ledger delete in one transaction.
+  RepoCounts after = RepoCounts::Of(repo);
+  EXPECT_EQ(after.committed - before.committed, 1u);
+  std::vector<storage::WalRecord> last = LastCommittedTxn(repo);
+  ASSERT_EQ(last.size(), 5u);
+  ASSERT_TRUE(last[1].dov.has_value() && last[2].dov.has_value());
+  EXPECT_EQ(last[1].dov->id, *first);
+  EXPECT_EQ(last[2].dov->id, *second);
+  EXPECT_EQ(last[3].type, storage::WalRecord::Type::kDeleteMeta);
+  EXPECT_TRUE(repo.Contains(*first));
+  EXPECT_TRUE(repo.Contains(*second));
+  // Each partition handed its new DOV to the DA's scope and counted it.
+  EXPECT_EQ(tm.locks().ScopeOwner(*first), da);
+  EXPECT_EQ(tm.locks().ScopeOwner(*second), da);
+  EXPECT_EQ(tm.partition_stats(p_first).checkins, checkins_first + 1);
+  EXPECT_EQ(tm.partition_stats(p_second).checkins, checkins_second + 1);
+  EXPECT_FALSE(tm.HasPrepared(txn));
 }
 
 TEST(MultiServerPlaneTest, WrongShardCheckinIsTyped) {

@@ -275,6 +275,52 @@ TEST(ProcessCrash, AbortedCheckinsStayInvisibleAcrossRestart) {
   server.Terminate();
 }
 
+TEST(ProcessCrash, ClientsWithDistinctIdsShareOneServer) {
+  // --client-id is the workstation's NodeId, the namespace of its DOP
+  // and 2PC transaction ids: two clients streaming commits into one
+  // concordd must never collide on a server-side registration.
+  constexpr uint64_t kOps = 200;
+  PlaneDirs dirs = MakePlaneDirs();
+  ChildProcess server = StartServer(dirs, 0);
+  auto churn = [&](int id, int da, int value_base) {
+    return ChildProcess::Spawn(
+        CONCORD_CLIENT_BINARY,
+        {"--client-id=" + std::to_string(id), "--server=" + dirs.Addr(0),
+         "--mode=churn", "--da=" + std::to_string(da), "--home=0",
+         "--ops=" + std::to_string(kOps),
+         "--value-base=" + std::to_string(value_base)});
+  };
+  ChildProcess first = churn(1, 1, 1000);
+  ChildProcess second = churn(2, 2, 5000);
+  ASSERT_EQ(first.WaitExit(120000), 0);
+  ASSERT_EQ(second.WaitExit(120000), 0);
+  for (ChildProcess* client : {&first, &second}) {
+    std::string failures;
+    for (const std::string& line : client->LinesWithPrefix("FAILED")) {
+      failures += line + "\n";
+    }
+    EXPECT_TRUE(failures.empty()) << failures;
+    EXPECT_EQ(client->LinesWithPrefix("COMMITTED").size() +
+                  client->LinesWithPrefix("INDOUBT").size(),
+              kOps);
+  }
+  server.Terminate();
+}
+
+TEST(ProcessCrash, ClientIdOutsideNodeIdRangeIsRefused) {
+  // 0 is the invalid NodeId, and a NodeId must fit the top 32 bits of
+  // the DOP and TxnIds it namespaces. Refused before any connection.
+  for (const char* id : {"0", "4294967296", "-1", "7x", ""}) {
+    std::vector<std::string> lines;
+    int rc = RunToCompletion(
+        CONCORD_CLIENT_BINARY,
+        {std::string("--client-id=") + id, "--server=unix:/nonexistent.sock",
+         "--mode=churn", "--da=1", "--ops=1"},
+        10000, &lines);
+    EXPECT_EQ(rc, 2) << "--client-id=" << id << " was accepted";
+  }
+}
+
 TEST(ProcessCrash, WalLockReclaimedFromDeadPidButRefusedWhileHeld) {
   PlaneDirs dirs = MakePlaneDirs();
 

@@ -49,9 +49,15 @@
 // --server flags are in shard order (shard 0 first) and must match the
 // concordd processes' --shard numbering, since DOV ids route by the
 // shard index baked into them.
+//
+// --client-id (1 to 2^32-1, default 1) is the workstation's NodeId and
+// its RPC client id: clients sharing a concordd need distinct ids, or
+// their DOP and 2PC transaction ids collide at the server.
 
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -115,10 +121,11 @@ int Usage(const char* argv0) {
 
 /// The workstation stack: one channel + NetServerService per shard, a
 /// static-home router (no placement service in a concordd plane), and
-/// the ClientTm on top.
+/// the ClientTm on top. The workstation's NodeId is its --client-id,
+/// the namespace of the ClientTm's DOP and 2PC TxnIds.
 struct Workstation {
   SimClock clock;
-  rpc::Network network{&clock, /*seed=*/7};
+  rpc::Network network;
   NodeId node;
   DotId dot;
   std::vector<std::shared_ptr<net::RpcChannel>> channels;
@@ -126,7 +133,8 @@ struct Workstation {
   std::unique_ptr<txn::ClientTm> tm;
   txn::ShardRouter router;
 
-  Workstation(const Flags& flags, Status* status) {
+  Workstation(const Flags& flags, Status* status)
+      : network(&clock, /*seed=*/7, NodeId(flags.client_id)) {
     node = network.AddNode("concord-client" + std::to_string(flags.client_id));
     storage::SchemaCatalog schema;
     dot = tools::DefinePlaneSchema(&schema);
@@ -353,7 +361,17 @@ int main(int argc, char** argv) {
   std::string value;
   for (int i = 1; i < argc; ++i) {
     if (ParseFlag(argv[i], "--client-id", &value)) {
-      flags.client_id = std::strtoull(value.c_str(), nullptr, 10);
+      // The id becomes the workstation NodeId, the top 32 bits of every
+      // DOP and TxnId it mints; 0 is the invalid NodeId.
+      char* end = nullptr;
+      errno = 0;
+      flags.client_id = std::strtoull(value.c_str(), &end, 10);
+      if (value.empty() || *end != '\0' || errno != 0 ||
+          flags.client_id == 0 || flags.client_id > UINT32_MAX) {
+        std::fprintf(stderr, "--client-id must be in [1, %u]: %s\n",
+                     UINT32_MAX, value.c_str());
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--server", &value)) {
       flags.servers.push_back(value);
     } else if (ParseFlag(argv[i], "--mode", &value)) {
