@@ -7,9 +7,9 @@
 //
 // Two workloads:
 //  - uniform checkout: every thread streams independent checkout
-//    envelopes (ServerTm::CheckoutBatch — the pipelined DispatchBatch
-//    shape) over 4096 pre-seeded DOVs, round-robin, so the DOVs spread
-//    evenly across partitions;
+//    envelopes (ServerTm::ExecuteIndependentBatch — the pipelined
+//    DispatchBatch path) over 4096 pre-seeded DOVs, round-robin, so the
+//    DOVs spread evenly across partitions;
 //  - checkin: every thread derives fresh versions (WAL append + scope
 //    lock per op; the shared WAL bounds this one, which is the point
 //    of reporting it).
@@ -97,13 +97,12 @@ struct PartitionEnv {
 
   /// One independent checkout envelope for thread `t`, `kBatchOps`
   /// DOVs round-robin from its cursor.
-  std::vector<txn::ServerTm::CheckoutOp> MakeBatch(int t, size_t cursor) {
-    std::vector<txn::ServerTm::CheckoutOp> ops;
-    ops.reserve(kBatchOps);
+  std::vector<txn::ServerTm::IndependentOp> MakeBatch(int t, size_t cursor) {
+    std::vector<txn::ServerTm::IndependentOp> ops(kBatchOps);
     for (int i = 0; i < kBatchOps; ++i) {
-      ops.push_back({DopId(t + 1),
-                     dovs[(cursor + static_cast<size_t>(i)) % dovs.size()],
-                     /*take_derivation_lock=*/false});
+      ops[i].kind = txn::ServerTm::IndependentOp::Kind::kCheckout;
+      ops[i].dop = DopId(t + 1);
+      ops[i].dov = dovs[(cursor + static_cast<size_t>(i)) % dovs.size()];
     }
     return ops;
   }
@@ -142,9 +141,10 @@ void BM_PartitionedCheckout(benchmark::State& state) {
   const int t = state.thread_index();
   size_t cursor = static_cast<size_t>(t) * 101;
   for (auto _ : state) {
-    auto results = g_env->tm->CheckoutBatch(g_env->MakeBatch(t, cursor));
+    auto results =
+        g_env->tm->ExecuteIndependentBatch(g_env->MakeBatch(t, cursor));
     for (const auto& r : results) {
-      if (!r.ok()) {
+      if (!r.status.ok()) {
         state.SkipWithError("checkout failed");
         return;
       }
@@ -224,7 +224,8 @@ GateResult RunGate(int partitions, int threads, int batches_per_thread) {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       size_t cursor = static_cast<size_t>(t) * 101;
       for (int b = 0; b < batches_per_thread; ++b) {
-        auto results = env.tm->CheckoutBatch(env.MakeBatch(t, cursor));
+        auto results =
+            env.tm->ExecuteIndependentBatch(env.MakeBatch(t, cursor));
         benchmark::DoNotOptimize(results);
         cursor += kBatchOps;
       }

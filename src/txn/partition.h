@@ -23,10 +23,14 @@ namespace concord::txn {
 /// Executor-side counters of one partition, padded so two partitions'
 /// counters never share a cache line.
 struct alignas(64) PartitionQueueStats {
-  /// Tasks executed on the partition's thread.
+  /// Tasks executed on the partition: mailbox tasks plus borrowed runs.
   std::atomic<uint64_t> tasks{0};
-  /// Dequeue bursts: one burst drains everything queued at wake-up, so
-  /// tasks/batches is the effective batching factor under load.
+  /// Of `tasks`, the Run calls the caller executed itself on the idle
+  /// partition (no mailbox hop).
+  std::atomic<uint64_t> inline_runs{0};
+  /// Mailbox dequeue bursts: one burst drains everything queued at
+  /// wake-up, so (tasks - inline_runs)/batches is the effective
+  /// batching factor under load.
   std::atomic<uint64_t> batches{0};
   /// Deepest the mailbox ever got (contention indicator).
   std::atomic<uint64_t> queue_high_water{0};
@@ -35,6 +39,7 @@ struct alignas(64) PartitionQueueStats {
 /// Plain snapshot of PartitionQueueStats.
 struct PartitionQueueSnapshot {
   uint64_t tasks = 0;
+  uint64_t inline_runs = 0;
   uint64_t batches = 0;
   uint64_t queue_high_water = 0;
 };
@@ -44,6 +49,15 @@ struct PartitionQueueSnapshot {
 /// across partitions is touched only by tasks submitted to the owning
 /// partition — cross-partition work rides messages (closures) with
 /// completion futures, never a shared data mutex.
+///
+/// Ownership is an exclusive token per partition, not a thread: the
+/// executor holds it while it drains its mailbox, and a Run caller may
+/// borrow it for one task when the executor is idle and the mailbox
+/// empty (flat combining: the waiter does the work itself instead of
+/// paying a wake-up and a future hop). A borrowed task runs tagged as
+/// partition p's executor, and the executor, Drain() and Stop() wait
+/// while the token is out, so tasks on one partition still never
+/// overlap and still run in submission order.
 ///
 /// K == 1 is the inline mode: no thread is spawned and Run/Post
 /// execute the task on the calling thread, reproducing the
@@ -89,16 +103,41 @@ class PartitionEngine {
   /// False in inline mode (K == 1, or after Stop()).
   bool threaded() const { return !executors_.empty() && !stopped_; }
 
-  /// Submits `fn` to partition `p` and waits for its result. From the
-  /// caller's perspective this is a synchronous call whose body runs
-  /// on the owning executor (or inline when not threaded).
+  /// Runs `fn` as a task of partition `p` and returns its result: on
+  /// the calling thread when the partition is idle (borrowing its
+  /// token), otherwise through the mailbox behind the queued work (or
+  /// inline when not threaded).
   template <typename F>
   std::invoke_result_t<F> Run(size_t p, F&& fn) const {
     if (!threaded()) return std::forward<F>(fn)();
     // Deadlock rule (class comment): submit-and-wait is forbidden FROM
-    // executor context — executors waiting on each other can cycle.
+    // executor context — executors waiting on each other can cycle. A
+    // borrowed task carries the executor tag, so the rule holds there.
     CONCORD_ASSERT_OFF_EXECUTOR();
-    return Post(p, std::forward<F>(fn)).get();
+    size_t owner = p % executors_.size();
+    Borrow borrow(executors_[owner].get());
+    if (!borrow.held()) return Post(p, std::forward<F>(fn)).get();
+    ScopedThreadRole role(ThreadRole::kPartitionExecutor,
+                          static_cast<int>(owner));
+    return std::forward<F>(fn)();
+  }
+
+  /// Runs `body(p)` once for each (distinct) partition in `parts` and
+  /// returns when all are done. Every partition but the last gets a
+  /// mailbox task; the last goes through Run, so the caller works one
+  /// slice instead of sleeping.
+  template <typename F>
+  void RunEach(const std::vector<size_t>& parts, const F& body) const {
+    if (parts.empty()) return;
+    std::vector<std::future<void>> done;
+    done.reserve(parts.size() - 1);
+    for (size_t i = 0; i + 1 < parts.size(); ++i) {
+      size_t p = parts[i];
+      done.push_back(Post(p, [&body, p] { body(p); }));
+    }
+    size_t last = parts.back();
+    Run(last, [&body, last] { body(last); });
+    for (auto& f : done) f.get();
   }
 
   /// Submits `fn` to partition `p` and returns the completion future —
@@ -126,17 +165,21 @@ class PartitionEngine {
     return future;
   }
 
-  /// Barrier: returns when every mailbox is empty and every executor
-  /// idle. Only meaningful when no new work is being submitted.
+  /// Barrier: returns when every mailbox is empty, every executor idle
+  /// and no token borrowed. Only meaningful when no new work is being
+  /// submitted.
   void Drain() const {
     CONCORD_ASSERT_OFF_EXECUTOR();
     for (const auto& ex : executors_) {
       MutexLock lock(&ex->mu);
-      while (!(ex->queue.empty() && ex->idle)) ex->idle_cv.Wait(&ex->mu);
+      while (!(ex->queue.empty() && ex->idle && !ex->borrowed)) {
+        ex->idle_cv.Wait(&ex->mu);
+      }
     }
   }
 
-  /// Joins the executor threads (after finishing all queued work).
+  /// Joins the executor threads (after finishing all queued work and
+  /// any borrowed run).
   /// Further Run/Post calls execute inline — the shutdown path may
   /// still need to touch partition state, just not concurrently.
   void Stop() {
@@ -159,6 +202,7 @@ class PartitionEngine {
     if (p >= executors_.size()) return snap;
     const PartitionQueueStats& stats = executors_[p]->stats;
     snap.tasks = stats.tasks.load(std::memory_order_relaxed);
+    snap.inline_runs = stats.inline_runs.load(std::memory_order_relaxed);
     snap.batches = stats.batches.load(std::memory_order_relaxed);
     snap.queue_high_water =
         stats.queue_high_water.load(std::memory_order_relaxed);
@@ -173,8 +217,45 @@ class PartitionEngine {
     std::deque<std::function<void()>> queue GUARDED_BY(mu);
     bool stop GUARDED_BY(mu) = false;
     bool idle GUARDED_BY(mu) = true;
+    /// A Run caller holds the partition's token (see Borrow).
+    bool borrowed GUARDED_BY(mu) = false;
     PartitionQueueStats stats;
     std::thread thread;
+  };
+
+  /// The partition's token, taken for one Run on the calling thread.
+  /// Held only when the executor was idle with an empty mailbox, so
+  /// nothing submitted earlier is still pending. Handing it back wakes
+  /// the executor if work queued meanwhile (or Stop() is waiting), and
+  /// any Drain() waiter.
+  class Borrow {
+   public:
+    explicit Borrow(Executor* ex) : ex_(ex) {
+      MutexLock lock(&ex_->mu);
+      held_ = ex_->idle && !ex_->borrowed && ex_->queue.empty();
+      ex_->borrowed = held_;
+    }
+    ~Borrow() {
+      if (!held_) return;
+      ex_->stats.tasks.fetch_add(1, std::memory_order_relaxed);
+      ex_->stats.inline_runs.fetch_add(1, std::memory_order_relaxed);
+      bool wake = false;
+      {
+        MutexLock lock(&ex_->mu);
+        ex_->borrowed = false;
+        wake = ex_->stop || !ex_->queue.empty();
+      }
+      if (wake) ex_->cv.NotifyOne();
+      ex_->idle_cv.NotifyAll();
+    }
+    Borrow(const Borrow&) = delete;
+    Borrow& operator=(const Borrow&) = delete;
+
+    bool held() const { return held_; }
+
+   private:
+    Executor* ex_;
+    bool held_ = false;
   };
 
   void Enqueue(size_t p, std::function<void()> task) const {
@@ -213,7 +294,9 @@ class PartitionEngine {
         MutexLock lock(&ex->mu);
         ex->idle = true;
         ex->idle_cv.NotifyAll();
-        while (!ex->stop && ex->queue.empty()) ex->cv.Wait(&ex->mu);
+        while (ex->borrowed || (!ex->stop && ex->queue.empty())) {
+          ex->cv.Wait(&ex->mu);
+        }
         if (ex->queue.empty()) return;  // stop requested, mailbox drained
         burst.swap(ex->queue);
         ex->idle = false;

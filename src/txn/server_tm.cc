@@ -209,109 +209,6 @@ Result<storage::DovRecord> ServerTm::Checkout(DopId dop, DovId dov,
   return std::move(*step.record);
 }
 
-std::vector<Result<storage::DovRecord>> ServerTm::CheckoutBatch(
-    const std::vector<CheckoutOp>& ops) {
-  // Choreography: posts wavefronts and waits on their futures — doing
-  // that from an executor would deadlock the mailbox.
-  CONCORD_ASSERT_OFF_EXECUTOR();
-  size_t partitions = engine_.count();
-  std::vector<Result<storage::DovRecord>> results(
-      ops.size(), Result<storage::DovRecord>(
-                      Status::Internal("batch slot not resolved")));
-  if (ops.empty()) return results;
-  ++parts_[0]->counters.pipelined_batches;
-  parts_[0]->counters.pipelined_ops += ops.size();
-
-  // Wavefront 1 — registration lookups, one task per DOP partition
-  // carrying all of its ops.
-  std::vector<DaId> das(ops.size());
-  std::vector<Status> lookups(ops.size(), Status::OK());
-  {
-    std::vector<std::vector<size_t>> by_part(partitions);
-    for (size_t i = 0; i < ops.size(); ++i) {
-      by_part[DopPart(ops[i].dop)].push_back(i);
-    }
-    std::vector<std::future<void>> done;
-    for (size_t p = 0; p < partitions; ++p) {
-      if (by_part[p].empty()) continue;
-      const std::vector<size_t>* group = &by_part[p];
-      done.push_back(engine_.Post(p, [this, p, group, &ops, &das, &lookups] {
-        for (size_t i : *group) {
-          auto da = LookupDopIn(*parts_[p], ops[i].dop);
-          if (da.ok()) {
-            das[i] = *da;
-          } else {
-            lookups[i] = da.status();
-          }
-        }
-      }));
-    }
-    for (auto& f : done) f.get();
-  }
-
-  // Dispatcher interlude — short locks and scope tests (the scope
-  // authority must be called from this thread; see Checkout).
-  std::vector<char> runnable(ops.size(), 0);
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (!lookups[i].ok()) {
-      results[i] = lookups[i];
-      continue;
-    }
-    DovId dov = ops[i].dov;
-    size_t pv = DovPart(dov);
-    locks_.Slice(pv).AcquireShort(dov);
-    if (!scope_authority_->InScope(das[i], dov)) {
-      locks_.Slice(pv).ReleaseShort(dov);
-      ++parts_[pv]->counters.checkouts_denied_scope;
-      results[i] = Status::PermissionDenied(
-          dov.ToString() + " is not in the scope of " + das[i].ToString());
-      continue;
-    }
-    if (DopPart(ops[i].dop) != pv) ++parts_[pv]->counters.cross_partition_ops;
-    runnable[i] = 1;
-  }
-
-  // Wavefront 2 — the lock tests and repository reads, one task per
-  // DOV partition carrying all of its ops: an envelope spanning K
-  // partitions keeps K executors busy at once.
-  std::vector<CheckoutStep> steps(ops.size());
-  {
-    std::vector<std::vector<size_t>> by_part(partitions);
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (runnable[i]) by_part[DovPart(ops[i].dov)].push_back(i);
-    }
-    std::vector<std::future<void>> done;
-    for (size_t p = 0; p < partitions; ++p) {
-      if (by_part[p].empty()) continue;
-      const std::vector<size_t>* group = &by_part[p];
-      done.push_back(engine_.Post(p, [this, p, group, &ops, &das, &steps] {
-        for (size_t i : *group) {
-          steps[i] = CheckoutStepIn(p, ops[i].dov, das[i],
-                                    ops[i].take_derivation_lock);
-        }
-      }));
-    }
-    for (auto& f : done) f.get();
-  }
-
-  // Dispatcher epilogue — held-lock records, invalidation pushes, and
-  // the positional results.
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (!runnable[i]) continue;
-    CheckoutStep& step = steps[i];
-    if (step.lock_acquired) {
-      RecordHeldLock(ops[i].dop, ops[i].dov);
-      PublishDerivationLock(ops[i].dov, das[i]);
-    }
-    if (!step.status.ok()) {
-      results[i] = step.status;
-    } else {
-      results[i] = std::move(*step.record);
-    }
-  }
-  return results;
-}
-
 std::vector<ServerTm::IndependentOpResult> ServerTm::ExecuteIndependentBatch(
     const std::vector<IndependentOp>& ops) {
   using Kind = IndependentOp::Kind;
@@ -329,18 +226,16 @@ std::vector<ServerTm::IndependentOpResult> ServerTm::ExecuteIndependentBatch(
   /// order.
   auto wavefront = [&](auto part_of, auto eligible, auto body) {
     std::vector<std::vector<size_t>> by_part(partitions);
+    std::vector<size_t> touched;
     for (size_t i = 0; i < ops.size(); ++i) {
-      if (eligible(i)) by_part[part_of(i)].push_back(i);
+      if (!eligible(i)) continue;
+      size_t p = part_of(i);
+      if (by_part[p].empty()) touched.push_back(p);
+      by_part[p].push_back(i);
     }
-    std::vector<std::future<void>> done;
-    for (size_t p = 0; p < partitions; ++p) {
-      if (by_part[p].empty()) continue;
-      const std::vector<size_t>* group = &by_part[p];
-      done.push_back(engine_.Post(p, [group, &body] {
-        for (size_t i : *group) body(i);
-      }));
-    }
-    for (auto& f : done) f.get();
+    engine_.RunEach(touched, [&](size_t p) {
+      for (size_t i : by_part[p]) body(i);
+    });
   };
 
   // Wavefront 0 — Begin-of-DOP registrations. They fan out BEFORE the
@@ -595,18 +490,17 @@ void ServerTm::ReleaseDerivationLocks(
   CONCORD_ASSERT_OFF_EXECUTOR();
   if (locks.empty()) return;
   std::vector<std::vector<std::pair<DovId, DaId>>> by_part(engine_.count());
-  for (const auto& pair : locks) by_part[DovPart(pair.first)].push_back(pair);
-  std::vector<std::future<void>> done;
-  for (size_t p = 0; p < by_part.size(); ++p) {
-    if (by_part[p].empty()) continue;
-    const std::vector<std::pair<DovId, DaId>>* group = &by_part[p];
-    done.push_back(engine_.Post(p, [this, p, group] {
-      for (const auto& [dov, da] : *group) {
-        locks_.Slice(p).ReleaseDerivation(dov, da).ok();
-      }
-    }));
+  std::vector<size_t> touched;
+  for (const auto& pair : locks) {
+    size_t p = DovPart(pair.first);
+    if (by_part[p].empty()) touched.push_back(p);
+    by_part[p].push_back(pair);
   }
-  for (auto& f : done) f.get();
+  engine_.RunEach(touched, [&](size_t p) {
+    for (const auto& [dov, da] : by_part[p]) {
+      locks_.Slice(p).ReleaseDerivation(dov, da).ok();
+    }
+  });
 }
 
 Status ServerTm::CommitDop(DopId dop) { return FinishDop(dop, true); }
@@ -821,12 +715,7 @@ Status ServerTm::ApplyStagedCheckins(TxnId txn,
     // scope hand-over fans out.
     for (size_t p : touched) take_short_locks(p);
     st = commit();
-    std::vector<std::future<void>> done;
-    for (size_t p : touched) {
-      done.push_back(
-          engine_.Post(p, [&hand_over, p, &st] { hand_over(p, st); }));
-    }
-    for (auto& f : done) f.get();
+    engine_.RunEach(touched, [&](size_t p) { hand_over(p, st); });
   }
   if (!st.ok()) {
     // Validated at prepare time, so this is a storage fault. Resolve
@@ -1005,28 +894,26 @@ void ServerTm::Crash() {
   // ledger lookup lands behind a wipe in some mailbox observes it (see
   // Decide). Cleared only after Recover() has re-staged the ledger.
   crash_wipe_pending_.store(true, std::memory_order_release);
-  // One wipe task per partition, all awaited. Mailboxes are FIFO, so
-  // each executor finishes every task queued before the crash and THEN
-  // wipes — when the futures resolve, no executor is touching
-  // pre-crash registrations, lock lists, or ledger entries, and the
-  // repository/lock teardown below cannot race an in-flight step.
-  std::vector<std::future<void>> wiped;
-  wiped.reserve(parts_.size());
-  for (size_t p = 0; p < parts_.size(); ++p) {
-    Partition* part = parts_[p].get();
-    wiped.push_back(engine_.Post(p, [part] {
-      MutexLock lock(&part->mu);
-      for (const auto& entry : part->dop_da) {
-        part->lost_dops.insert(entry.first);
-      }
-      part->dop_da.clear();
-      part->dop_derivation_locks.clear();
-      // The 2PC ledger is volatile: staged transactions die undecided,
-      // which is exactly the presumed-abort outcome.
-      part->prepared.clear();
-    }));
-  }
-  for (auto& f : wiped) f.get();
+  // One wipe task per partition, all awaited. Tasks on a partition run
+  // in submission order, so each wipe follows every task submitted
+  // before the crash — when RunEach returns, no executor (or borrowing
+  // caller) is touching pre-crash registrations, lock lists, or ledger
+  // entries, and the repository/lock teardown below cannot race an
+  // in-flight step.
+  std::vector<size_t> all(parts_.size());
+  for (size_t p = 0; p < all.size(); ++p) all[p] = p;
+  engine_.RunEach(all, [this](size_t p) {
+    Partition& part = *parts_[p];
+    MutexLock lock(&part.mu);
+    for (const auto& entry : part.dop_da) {
+      part.lost_dops.insert(entry.first);
+    }
+    part.dop_da.clear();
+    part.dop_derivation_locks.clear();
+    // The 2PC ledger is volatile: staged transactions die undecided,
+    // which is exactly the presumed-abort outcome.
+    part.prepared.clear();
+  });
   locks_.ReleaseAll();
   repository_->Crash();
   network_->SetNodeUp(node_, false);

@@ -52,8 +52,8 @@ struct ServerTmStats {
   /// (e.g. a lock-taking checkout whose DOP and DOV live on different
   /// executors) — the intra-node messaging cost of partitioning.
   uint64_t cross_partition_ops = 0;
-  /// Independent-envelope checkout wavefronts executed by the
-  /// pipelined dispatch path, and the ops they carried.
+  /// Independent envelopes executed by the pipelined wavefront path
+  /// (ExecuteIndependentBatch), and the ops they carried.
   uint64_t pipelined_batches = 0;
   uint64_t pipelined_ops = 0;
 };
@@ -74,19 +74,22 @@ struct ServerTmStats {
 ///    sub-shards live on DovPartitionOf(dov);
 ///  - the prepared-2PC ledger lives on TxnPartitionOf(txn).
 /// A public operation is a choreography run by the DISPATCHING thread
-/// (the RPC handler): it submits each state-touching step to the
-/// owning partition and waits on the completion future; steps never
-/// hop partitions themselves, so executors cannot deadlock on each
-/// other. Scope-authority callouts and invalidation publishes also
-/// stay on the dispatcher — the cooperation manager's recursive mutex
-/// may be held by that very thread (event delivery running a tool),
-/// and an executor-side callout would deadlock against it.
+/// (the RPC handler): it runs each state-touching step as a task of
+/// the owning partition (PartitionEngine::Run — on the dispatcher
+/// itself when the partition is idle, else through its mailbox) and
+/// waits for it; steps never hop partitions themselves, so executors
+/// cannot deadlock on each other. Scope-authority callouts and
+/// invalidation publishes also stay on the dispatcher — the
+/// cooperation manager's recursive mutex may be held by that very
+/// thread (event delivery running a tool), and an executor-side
+/// callout would deadlock against it.
 ///
 /// K == 1 (the default) spawns no threads and executes every step
 /// inline on the caller — bit-identical to the pre-partitioning
 /// behaviour. Each partition's maps still sit behind a slice mutex:
 /// with K == 1 concurrent designers share partition 0, and with K > 1
-/// the mutex is uncontended (only the owning executor takes it).
+/// the mutex is uncontended (only the partition's token holder takes
+/// it).
 class ServerTm {
  public:
   /// `invalidations` (optional) is the push channel to the workstation
@@ -127,20 +130,6 @@ class ServerTm {
   Result<storage::DovRecord> Checkout(DopId dop, DovId dov,
                                       bool take_derivation_lock);
 
-  /// One checkout of a pipelined independent envelope.
-  struct CheckoutOp {
-    DopId dop;
-    DovId dov;
-    bool take_derivation_lock = false;
-  };
-  /// Executes a batch of INDEPENDENT checkouts as partition wavefronts:
-  /// all DOP lookups fan out at once, scope checks run on the
-  /// dispatcher, then each partition receives ONE task carrying all of
-  /// its DOVs — so an envelope touching K partitions keeps K executors
-  /// busy instead of walking the ops serially. Results are positional.
-  std::vector<Result<storage::DovRecord>> CheckoutBatch(
-      const std::vector<CheckoutOp>& ops);
-
   /// One operation of a pipelined MIXED-OP independent envelope — the
   /// order-free shapes a client-TM batches when a DM opens many DOPs
   /// at once (Begin-of-DOPs with their input checkouts, End-of-DOPs,
@@ -170,9 +159,10 @@ class ServerTm {
   /// registration lookups, then — after the dispatcher's scope tests —
   /// one task per DOV partition carrying all of its checkout steps,
   /// and finally the End-of-DOP extractions with their lock-release
-  /// fan-out. Every wavefront keeps each executor the envelope touches
-  /// busy with ONE task carrying all of its ops; within a partition
-  /// ops apply in envelope order. Results are positional.
+  /// fan-out. Every wavefront gives each partition the envelope touches
+  /// ONE task carrying all of its ops, the last of them run by the
+  /// dispatcher itself; within a partition ops apply in envelope
+  /// order. Results are positional.
   std::vector<IndependentOpResult> ExecuteIndependentBatch(
       const std::vector<IndependentOp>& ops);
 

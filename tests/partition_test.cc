@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
-#include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/ids.h"
@@ -38,23 +40,158 @@ TEST(PartitionEngineTest, InlineModeRunsOnCallerThread) {
   EXPECT_EQ(future.get(), 42);
 }
 
-TEST(PartitionEngineTest, ThreadedModeRunsOnOwningExecutor) {
+TEST(PartitionEngineTest, RunOnIdlePartitionRunsOnCallerAsItsExecutor) {
   PartitionEngine engine(4);
   EXPECT_EQ(engine.count(), 4u);
   EXPECT_TRUE(engine.threaded());
   std::thread::id caller = std::this_thread::get_id();
-  std::set<std::thread::id> executor_threads;
   for (size_t p = 0; p < 4; ++p) {
-    std::thread::id ran_on =
-        engine.Run(p, [] { return std::this_thread::get_id(); });
-    EXPECT_NE(ran_on, caller);
-    executor_threads.insert(ran_on);
-    // Same partition -> same thread, every time.
-    EXPECT_EQ(engine.Run(p, [] { return std::this_thread::get_id(); }),
-              ran_on);
+    // Nothing is queued, so the caller borrows partition p's token and
+    // runs the task itself, tagged as p's executor.
+    auto [ran_on, role, partition] = engine.Run(p, [] {
+      return std::make_tuple(std::this_thread::get_id(), CurrentThreadRole(),
+                             CurrentThreadPartition());
+    });
+    EXPECT_EQ(ran_on, caller);
+    EXPECT_EQ(role, ThreadRole::kPartitionExecutor);
+    EXPECT_EQ(partition, static_cast<int>(p));
+    // The tag ends with the task.
+    EXPECT_EQ(CurrentThreadRole(), ThreadRole::kGeneral);
+    EXPECT_EQ(CurrentThreadPartition(), -1);
   }
-  // Distinct partitions are distinct threads.
-  EXPECT_EQ(executor_threads.size(), 4u);
+  EXPECT_EQ(engine.queue_stats(0).inline_runs, 1u);
+}
+
+TEST(PartitionEngineTest, RunOnBusyPartitionRunsOnItsExecutor) {
+  PartitionEngine engine(2);
+  std::promise<std::thread::id> started;
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  auto blocker = engine.Post(1, [&started, open] {
+    started.set_value(std::this_thread::get_id());
+    open.wait();
+  });
+  std::thread::id executor = started.get_future().get();
+  // Queued behind the blocker: the mailbox is now one deep.
+  auto queued = engine.Post(1, [] {});
+
+  std::thread::id runner;
+  std::thread::id ran_on;
+  std::atomic<bool> returned{false};
+  std::thread caller([&] {
+    runner = std::this_thread::get_id();
+    ran_on = engine.Run(1, [] { return std::this_thread::get_id(); });
+    returned.store(true);
+  });
+  // The Run has joined the mailbox once it is two deep (a Run that
+  // wrongly borrowed the busy partition returns instead).
+  while (engine.queue_stats(1).queue_high_water < 2 && !returned.load()) {
+    std::this_thread::yield();
+  }
+  gate.set_value();
+  caller.join();
+  blocker.get();
+  queued.get();
+  EXPECT_EQ(ran_on, executor);
+  EXPECT_NE(ran_on, runner);
+  EXPECT_EQ(engine.queue_stats(1).inline_runs, 0u);
+}
+
+TEST(PartitionEngineTest, PostThenRunOnOnePartitionKeepsSubmissionOrder) {
+  PartitionEngine engine(2);
+  std::vector<int> order;
+  std::vector<std::future<void>> posted;
+  for (int i = 0; i < 100; ++i) {
+    // A slow Post keeps the executor busy, so some Runs take the
+    // mailbox and some find the partition idle and borrow it; either
+    // way each must follow the Post submitted before it.
+    posted.push_back(engine.Post(0, [&order, i] {
+      if (i % 10 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      order.push_back(2 * i);
+    }));
+    engine.Run(0, [&order, i] { order.push_back(2 * i + 1); });
+  }
+  for (auto& f : posted) f.get();
+  ASSERT_EQ(order.size(), 200u);
+  for (int i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(PartitionEngineTest, DrainAndStopWaitForABorrowedRun) {
+  for (bool stop : {false, true}) {
+    PartitionEngine engine(2);
+    std::promise<void> started;
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    std::atomic<bool> done{false};
+    std::thread borrower([&] {
+      engine.Run(0, [&] {
+        started.set_value();
+        open.wait();
+        done.store(true);
+      });
+    });
+    started.get_future().wait();
+    std::atomic<bool> saw_done{false};
+    std::thread barrier([&] {
+      if (stop) {
+        engine.Stop();
+      } else {
+        engine.Drain();
+      }
+      saw_done.store(done.load());
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.set_value();
+    barrier.join();
+    borrower.join();
+    EXPECT_TRUE(saw_done.load()) << (stop ? "Stop" : "Drain")
+                                 << " returned during a borrowed run";
+  }
+}
+
+TEST(PartitionEngineTest, RunAndPostNeverOverlapOnOnePartition) {
+  // Exclusivity hammer: a plain (non-atomic) counter bumped by borrowed
+  // runs and mailbox tasks alike must reach the exact total, and TSan
+  // (CI) must see every increment ordered.
+  PartitionEngine engine(2);
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 2000;
+  uint64_t counter = 0;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&engine, &counter] {
+      std::vector<std::future<void>> posted;
+      for (int i = 0; i < kPerThread; ++i) {
+        if (i % 2 == 0) {
+          engine.Run(0, [&counter] { ++counter; });
+        } else {
+          posted.push_back(engine.Post(0, [&counter] { ++counter; }));
+        }
+      }
+      for (auto& f : posted) f.get();
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(engine.Run(0, [&counter] { return counter; }),
+            uint64_t{kThreads} * kPerThread);
+}
+
+TEST(PartitionEngineDeathTest, BorrowedTaskMustNotSubmitAndWait) {
+  if (!ThreadAssertsEnabled()) {
+    GTEST_SKIP() << "CONCORD_THREAD_ASSERTS compiled out in this build";
+  }
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The partition is idle, so the outer Run borrows it on this thread;
+  // the borrowed task carries the executor tag, so the nested
+  // submit-and-wait must abort exactly as it would on the executor.
+  EXPECT_DEATH(
+      {
+        PartitionEngine engine(2);
+        engine.Run(0, [&engine] { return engine.Run(1, [] { return 1; }); });
+      },
+      "submit-and-wait");
 }
 
 TEST(PartitionEngineTest, TasksOnOnePartitionRunInFifoOrder) {
@@ -93,15 +230,20 @@ TEST(PartitionEngineTest, StopJoinsAndFallsBackToInline) {
   EXPECT_EQ(engine.Run(2, [] { return 7; }), 7);
 }
 
-TEST(PartitionEngineTest, QueueStatsCountTasks) {
+TEST(PartitionEngineTest, QueueStatsCountMailboxAndBorrowedTasks) {
   PartitionEngine engine(2);
   for (int i = 0; i < 20; ++i) {
     engine.Post(0, [] {});
   }
   engine.Drain();
+  // Drained and single-threaded: every Run finds the partition idle.
+  for (int i = 0; i < 5; ++i) engine.Run(0, [] {});
+  for (int i = 0; i < 7; ++i) engine.Post(0, [] {});
+  engine.Drain();
   PartitionQueueSnapshot snap = engine.queue_stats(0);
-  EXPECT_EQ(snap.tasks, 20u);
-  EXPECT_GE(snap.batches, 1u);
+  EXPECT_EQ(snap.inline_runs, 5u);
+  EXPECT_EQ(snap.tasks, 27u + snap.inline_runs);
+  EXPECT_GE(snap.batches, 2u);
   EXPECT_GE(snap.queue_high_water, 1u);
   EXPECT_EQ(engine.queue_stats(1).tasks, 0u);
 }
@@ -280,28 +422,33 @@ TEST_P(PartitionedTmTest, StatsAggregateExactlyFromPartitionSlices) {
   }
 }
 
-TEST_P(PartitionedTmTest, CheckoutBatchIsPositionalAndCountsPipelining) {
+TEST_P(PartitionedTmTest, IndependentCheckoutsArePositionalAndCountPipelining) {
   std::vector<DovId> inputs;
   for (int i = 0; i < 8; ++i) inputs.push_back(Seed(DaId(1), i));
   DopId dop(5);
   ASSERT_TRUE(server_->BeginDop(dop, DaId(1)).ok());
 
-  std::vector<ServerTm::CheckoutOp> ops;
-  for (DovId input : inputs) ops.push_back({dop, input, false});
+  std::vector<ServerTm::IndependentOp> ops(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    ops[i].kind = ServerTm::IndependentOp::Kind::kCheckout;
+    ops[i].dop = dop;
+    ops[i].dov = inputs[i];
+  }
   // Slot 3: unregistered DOP; slot 5: unknown DOV. Results must stay
   // positional around the failures.
   ops[3].dop = DopId(99);
   ops[5].dov = DovId(123456);
-  auto results = server_->CheckoutBatch(ops);
+  auto results = server_->ExecuteIndependentBatch(ops);
   ASSERT_EQ(results.size(), ops.size());
   for (size_t i = 0; i < results.size(); ++i) {
     if (i == 3) {
-      EXPECT_TRUE(results[i].status().IsNotFound());
+      EXPECT_TRUE(results[i].status.IsNotFound());
     } else if (i == 5) {
-      EXPECT_FALSE(results[i].ok());
+      EXPECT_FALSE(results[i].status.ok());
     } else {
-      ASSERT_TRUE(results[i].ok());
-      EXPECT_EQ(results[i]->id, inputs[i]);
+      ASSERT_TRUE(results[i].status.ok());
+      ASSERT_TRUE(results[i].record.has_value());
+      EXPECT_EQ(results[i].record->id, inputs[i]);
     }
   }
   ServerTmStats stats = server_->stats();
@@ -428,6 +575,133 @@ TEST(PartitionCrashDrainTest, CrashRecoverUnderConcurrentTraffic) {
   DopId dop(1);
   ASSERT_TRUE(server.BeginDop(dop, DaId(1)).ok());
   EXPECT_TRUE(server.Checkout(dop, inputs[0], false).ok());
+}
+
+// Concurrent DispatchBatch traffic on a two-partition node: Begin,
+// pipelined checkout (with a derivation lock on the other partition
+// than the DOP's), and checkin+commit envelopes — half degenerate
+// [Prepare, ops, Decide], half two-phase — from four designers, while
+// a reader polls stats and dispatches registration reads. Tasks borrow
+// idle partitions and queue behind busy ones; the counts and locks
+// must come out exact. Run under TSan in CI (thread asserts on in the
+// sanitizer legs).
+TEST(PartitionedDispatchTest, ConcurrentEnvelopesCountEveryCheckinOnce) {
+  SimClock clock;
+  rpc::Network network(&clock, 1);
+  storage::Repository repo(&clock);
+  auto* type = repo.schema().DefineType("thing");
+  type->AddAttr({"value", storage::AttrType::kInt, true, 0.0, 1000.0});
+  DotId dot = type->id();
+  PermissiveScopeAuthority scope;
+  NodeId node = network.AddNode("server");
+  ServerTm server(&repo, &network, node, &scope, nullptr, /*partitions=*/2);
+
+  constexpr int kDesigners = 4;
+  constexpr int kDops = 100;
+  // Two DOVs per designer, one on each partition, owned by its DA.
+  std::vector<std::vector<DovId>> owned(kDesigners);
+  for (int t = 0; t < kDesigners; ++t) {
+    for (int i = 0; i < 2; ++i) {
+      TxnId txn = repo.Begin();
+      storage::DovRecord record;
+      record.id = repo.NextDovId();
+      record.owner_da = DaId(t + 1);
+      record.type = dot;
+      record.data = storage::DesignObject(dot);
+      record.data.SetAttr("value", static_cast<int64_t>(i));
+      DovId id = record.id;
+      repo.Put(txn, std::move(record)).ok();
+      repo.Commit(txn).ok();
+      server.locks().SetScopeOwner(id, DaId(t + 1));
+      owned[t].push_back(id);
+    }
+    ASSERT_NE(DovPartitionOf(owned[t][0], 2), DovPartitionOf(owned[t][1], 2));
+  }
+
+  std::atomic<uint64_t> acked{0};
+  std::atomic<int> failures{0};
+  std::atomic<bool> designers_done{false};
+  std::vector<std::thread> designers;
+  for (int t = 0; t < kDesigners; ++t) {
+    designers.emplace_back([&, t] {
+      DaId da(t + 1);
+      uint64_t txn_seq = static_cast<uint64_t>(t + 1) << 32;
+      for (int i = 0; i < kDops; ++i) {
+        DopId dop((static_cast<uint64_t>(t + 1) << 32) | (i + 1));
+        size_t dop_part = DopPartitionOf(dop, 2);
+        DovId cross = owned[t][DovPartitionOf(owned[t][0], 2) == dop_part];
+        DovId local = owned[t][DovPartitionOf(owned[t][0], 2) != dop_part];
+
+        BatchRequest begin;
+        TxnId begin_txn(++txn_seq);
+        begin.ops = {PrepareRequest{begin_txn}, BeginDopRequest{dop, da},
+                     DecideRequest{begin_txn, true}};
+        if (!DispatchBatch(server, begin).ops[1].status.ok()) ++failures;
+
+        BatchRequest checkout;
+        TxnId checkout_txn(++txn_seq);
+        checkout.independent = true;
+        checkout.ops = {PrepareRequest{checkout_txn},
+                        CheckoutRequest{dop, cross, true},
+                        CheckoutRequest{dop, local, false},
+                        DecideRequest{checkout_txn, true}};
+        BatchReply read = DispatchBatch(server, checkout);
+        if (!read.ops[1].status.ok() || !read.ops[2].status.ok()) ++failures;
+
+        TxnId commit_txn(++txn_seq);
+        storage::DesignObject obj(dot);
+        obj.SetAttr("value", static_cast<int64_t>(i));
+        BatchRequest commit;
+        commit.ops = {PrepareRequest{commit_txn},
+                      CheckinRequest{dop, std::move(obj), {cross}, 0},
+                      CommitDopRequest{dop}};
+        bool two_phase = (i % 2) == 1;
+        if (!two_phase) {
+          commit.ops.emplace_back(DecideRequest{commit_txn, true});
+        }
+        BatchReply wrote = DispatchBatch(server, commit);
+        bool ok = wrote.ops[1].status.ok() && wrote.ops[2].status.ok();
+        if (two_phase) {
+          BatchRequest decide;
+          decide.ops = {DecideRequest{commit_txn, ok}};
+          ok = DispatchBatch(server, decide).ops[0].status.ok() && ok;
+        }
+        if (ok) {
+          ++acked;
+        } else {
+          ++failures;
+        }
+      }
+    });
+  }
+  std::thread reader([&] {
+    BatchRequest reads;
+    reads.independent = true;
+    reads.ops = {DaOfDopRequest{DopId((uint64_t{1} << 32) | 1)},
+                 DaOfDopRequest{DopId((uint64_t{2} << 32) | 2)}};
+    while (!designers_done.load()) {
+      server.stats();
+      for (size_t p = 0; p < 2; ++p) server.partition_queue_stats(p);
+      server.PreparedTxns();
+      DispatchBatch(server, reads);
+    }
+  });
+  for (auto& d : designers) d.join();
+  designers_done.store(true);
+  reader.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(acked.load(), uint64_t{kDesigners} * kDops);
+  uint64_t checkins = 0;
+  for (size_t p = 0; p < 2; ++p) checkins += server.partition_stats(p).checkins;
+  EXPECT_EQ(checkins, acked.load());
+  for (const auto& dovs : owned) {
+    for (DovId dov : dovs) {
+      EXPECT_FALSE(server.locks().DerivationHolder(dov).valid())
+          << dov.ToString();
+    }
+  }
+  EXPECT_TRUE(server.PreparedTxns().empty());
 }
 
 }  // namespace

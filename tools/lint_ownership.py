@@ -13,9 +13,10 @@ Enforces the rules documented in docs/CONCURRENCY.md:
                   see every acquisition.
 
   submit-wait     No submit-and-wait from executor context: a task body
-                  handed to PartitionEngine::Post/Run (or a dispatch
-                  helper that forwards to them, e.g. the wavefront
-                  lambda in server_tm.cc, or ExecutorPool::Submit) must
+                  handed to PartitionEngine::Post/Run/RunEach (or a
+                  dispatch helper that forwards to them, e.g. the
+                  wavefront lambda in server_tm.cc, or
+                  ExecutorPool::Submit) must
                   not itself call Post/Run/Submit/Drain or block on a
                   future's .get()/.wait() — an executor waiting on its
                   own mailbox deadlocks.
@@ -58,7 +59,7 @@ RAW_SYNC_RE = re.compile(
     r"lock_guard|scoped_lock|shared_lock|unique_lock)\b"
 )
 # Dispatch functions whose lambda arguments run ON an executor.
-DISPATCH_RE = re.compile(r"\b(?:Post|Run|Submit|wavefront)\s*\(")
+DISPATCH_RE = re.compile(r"\b(?:Post|Run|RunEach|Submit|wavefront)\s*\(")
 # Calls that submit to (or wait on) an executor — fatal inside a task.
 SUBMIT_WAIT_RE = re.compile(
     r"(?:\.|->)(?:Post|Run|Submit|Drain)\s*\(|(?:\.|->)(?:get|wait)\s*\(\s*\)"
