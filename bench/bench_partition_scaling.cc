@@ -7,9 +7,9 @@
 //
 // Two workloads:
 //  - uniform checkout: every thread streams independent checkout
-//    envelopes (ServerTm::ExecuteIndependentBatch — the pipelined
-//    DispatchBatch path) over 4096 pre-seeded DOVs, round-robin, so the
-//    DOVs spread evenly across partitions;
+//    envelopes (one ServerTm::Execute call each — what DispatchBatch
+//    does with an independent envelope) over 4096 pre-seeded DOVs,
+//    round-robin, so the DOVs spread evenly across partitions;
 //  - checkin: every thread derives fresh versions (WAL append + scope
 //    lock per op; the shared WAL bounds this one, which is the point
 //    of reporting it).
@@ -97,14 +97,23 @@ struct PartitionEnv {
 
   /// One independent checkout envelope for thread `t`, `kBatchOps`
   /// DOVs round-robin from its cursor.
-  std::vector<txn::ServerTm::IndependentOp> MakeBatch(int t, size_t cursor) {
-    std::vector<txn::ServerTm::IndependentOp> ops(kBatchOps);
+  std::vector<txn::ServerRequest> MakeBatch(int t, size_t cursor) {
+    std::vector<txn::ServerRequest> ops;
+    ops.reserve(kBatchOps);
     for (int i = 0; i < kBatchOps; ++i) {
-      ops[i].kind = txn::ServerTm::IndependentOp::Kind::kCheckout;
-      ops[i].dop = DopId(t + 1);
-      ops[i].dov = dovs[(cursor + static_cast<size_t>(i)) % dovs.size()];
+      ops.emplace_back(txn::CheckoutRequest{
+          DopId(t + 1), dovs[(cursor + static_cast<size_t>(i)) % dovs.size()],
+          false});
     }
     return ops;
+  }
+
+  /// Runs one envelope through the server-TM's executor.
+  std::vector<txn::ServerReply> Execute(
+      const std::vector<txn::ServerRequest>& ops) {
+    std::vector<txn::ServerReply> replies(ops.size());
+    tm->Execute(ops, replies);
+    return replies;
   }
 };
 
@@ -141,8 +150,7 @@ void BM_PartitionedCheckout(benchmark::State& state) {
   const int t = state.thread_index();
   size_t cursor = static_cast<size_t>(t) * 101;
   for (auto _ : state) {
-    auto results =
-        g_env->tm->ExecuteIndependentBatch(g_env->MakeBatch(t, cursor));
+    auto results = g_env->Execute(g_env->MakeBatch(t, cursor));
     for (const auto& r : results) {
       if (!r.status.ok()) {
         state.SkipWithError("checkout failed");
@@ -224,8 +232,7 @@ GateResult RunGate(int partitions, int threads, int batches_per_thread) {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       size_t cursor = static_cast<size_t>(t) * 101;
       for (int b = 0; b < batches_per_thread; ++b) {
-        auto results =
-            env.tm->ExecuteIndependentBatch(env.MakeBatch(t, cursor));
+        auto results = env.Execute(env.MakeBatch(t, cursor));
         benchmark::DoNotOptimize(results);
         cursor += kBatchOps;
       }

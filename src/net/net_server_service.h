@@ -9,9 +9,9 @@
 
 namespace concord::net {
 
-/// txn::ServerService over a real socket: the third transport backend
-/// behind the seam ClientTm programs against (next to
-/// LocalServerService and the simulated RemoteServerStub). Encodes the
+/// txn::ServerService over a real socket: the second transport backend
+/// behind the seam ClientTm programs against (next to the simulated
+/// RemoteServerStub). Encodes the
 /// batch with the existing wire codec, ships it through an RpcChannel,
 /// and decodes the reply — the transaction layers cannot tell the
 /// difference, which is the whole point of the seam.

@@ -244,163 +244,43 @@ bool DecodeReply(ByteReader* in, ServerReply* reply) {
 
 }  // namespace
 
-// --- Typed wrappers -------------------------------------------------------
-
-Result<ServerReply> ServerService::ExecuteOne(ServerRequest op) {
-  BatchRequest batch;
-  batch.ops.push_back(std::move(op));
-  CONCORD_ASSIGN_OR_RETURN(BatchReply reply, Execute(batch));
-  if (reply.ops.size() != 1) {
-    return Status::Internal("server-service reply arity mismatch");
-  }
-  return std::move(reply.ops.front());
-}
-
-Status ServerService::BeginDop(DopId dop, DaId da) {
-  CONCORD_ASSIGN_OR_RETURN(ServerReply reply,
-                           ExecuteOne(BeginDopRequest{dop, da}));
-  return reply.status;
-}
-
-Result<storage::DovRecord> ServerService::Checkout(DopId dop, DovId dov,
-                                                   bool take_derivation_lock) {
-  CONCORD_ASSIGN_OR_RETURN(
-      ServerReply reply,
-      ExecuteOne(CheckoutRequest{dop, dov, take_derivation_lock}));
-  CONCORD_RETURN_NOT_OK(reply.status);
-  auto* body = std::get_if<CheckoutReply>(&reply.body);
-  if (body == nullptr) {
-    return Status::Internal("checkout reply carries no DOV record");
-  }
-  return std::move(body->record);
-}
-
-Result<DovId> ServerService::Checkin(DopId dop, storage::DesignObject object,
-                                     std::vector<DovId> predecessors,
-                                     SimTime created_at) {
-  CheckinRequest request;
-  request.dop = dop;
-  request.object = std::move(object);
-  request.predecessors = std::move(predecessors);
-  request.created_at = created_at;
-  CONCORD_ASSIGN_OR_RETURN(ServerReply reply, ExecuteOne(std::move(request)));
-  CONCORD_RETURN_NOT_OK(reply.status);
-  auto* body = std::get_if<CheckinReply>(&reply.body);
-  if (body == nullptr) {
-    return Status::Internal("checkin reply carries no DOV id");
-  }
-  return body->dov;
-}
-
-Status ServerService::CommitDop(DopId dop) {
-  CONCORD_ASSIGN_OR_RETURN(ServerReply reply,
-                           ExecuteOne(CommitDopRequest{dop}));
-  return reply.status;
-}
-
-Status ServerService::AbortDop(DopId dop) {
-  CONCORD_ASSIGN_OR_RETURN(ServerReply reply, ExecuteOne(AbortDopRequest{dop}));
-  return reply.status;
-}
-
-Result<DaId> ServerService::DaOfDop(DopId dop) {
-  CONCORD_ASSIGN_OR_RETURN(ServerReply reply, ExecuteOne(DaOfDopRequest{dop}));
-  CONCORD_RETURN_NOT_OK(reply.status);
-  auto* body = std::get_if<DaOfDopReply>(&reply.body);
-  if (body == nullptr) {
-    return Status::Internal("DA-of-DOP reply carries no DA id");
-  }
-  return body->da;
-}
-
-Result<bool> ServerService::Prepare(TxnId txn) {
-  CONCORD_ASSIGN_OR_RETURN(ServerReply reply, ExecuteOne(PrepareRequest{txn}));
-  CONCORD_RETURN_NOT_OK(reply.status);
-  auto* body = std::get_if<PrepareReply>(&reply.body);
-  if (body == nullptr) {
-    return Status::Internal("prepare reply carries no vote");
-  }
-  return body->vote;
-}
-
 // --- Server-side dispatch -------------------------------------------------
 
 namespace {
 
-/// Phase-1 envelope execution: [Prepare, ops...] with no Decide. The
-/// transaction's state-changing operations are validated and STAGED in
-/// the server-TM's 2PC ledger instead of applied — a later [Decide]
-/// envelope (phase 2) commits or discards them — while reads and
-/// registrations execute immediately with undo records. Replies carry
-/// the prepare-time outcomes, so the coordinator has everything it
-/// needs (statuses, the new DOV id) to decide.
-BatchReply DispatchPhaseOne(ServerTm& server, const BatchRequest& batch,
-                            TxnId txn) {
-  BatchReply out;
-  out.ops.reserve(batch.ops.size());
-  bool failed = false;
-  for (const ServerRequest& op : batch.ops) {
-    ServerReply reply;
-    if (std::holds_alternative<PrepareRequest>(op)) {
-      // Arrival + successful staging IS the vote.
-      reply.body = PrepareReply{true};
-    } else if (failed && !batch.independent) {
-      reply.status = Status::Aborted(
-          "skipped: an earlier request in the batch failed");
-    } else if (const auto* begin = std::get_if<BeginDopRequest>(&op)) {
-      reply.status = server.PrepareBeginDop(txn, begin->dop, begin->da);
-    } else if (const auto* checkout = std::get_if<CheckoutRequest>(&op)) {
-      auto record = server.PrepareCheckout(txn, checkout->dop, checkout->dov,
-                                           checkout->take_derivation_lock);
-      if (record.ok()) {
-        reply.body = CheckoutReply{std::move(*record)};
-      } else {
-        reply.status = record.status();
-      }
-    } else if (const auto* checkin = std::get_if<CheckinRequest>(&op)) {
-      auto dov = server.PrepareCheckin(txn, checkin->dop, checkin->object,
-                                       checkin->predecessors,
-                                       checkin->created_at);
-      if (dov.ok()) {
-        reply.body = CheckinReply{*dov};
-      } else {
-        reply.status = dov.status();
-      }
-    } else if (const auto* commit = std::get_if<CommitDopRequest>(&op)) {
-      reply.status =
-          server.PrepareFinish(txn, commit->dop, /*commit_outcome=*/true);
-    } else if (const auto* abort = std::get_if<AbortDopRequest>(&op)) {
-      reply.status =
-          server.PrepareFinish(txn, abort->dop, /*commit_outcome=*/false);
-    } else if (const auto* da_of = std::get_if<DaOfDopRequest>(&op)) {
-      auto da = server.DaOfDop(da_of->dop);
-      if (da.ok()) {
-        reply.body = DaOfDopReply{*da};
-      } else {
-        reply.status = da.status();
-      }
+/// Phase-1 form of a data op: a checkout executes now but remembers
+/// its lock for Decide(abort); a checkin or End-of-DOP is validated,
+/// answered and staged in the server-TM's 2PC ledger. Returns false for
+/// the ops that execute directly (Begin-of-DOP, DA-of-DOP).
+bool StageOp(ServerTm& server, TxnId txn, const ServerRequest& op,
+             ServerReply* reply) {
+  if (const auto* checkout = std::get_if<CheckoutRequest>(&op)) {
+    auto record = server.PrepareCheckout(txn, checkout->dop, checkout->dov,
+                                         checkout->take_derivation_lock);
+    if (record.ok()) {
+      reply->body = CheckoutReply{std::move(*record)};
+    } else {
+      reply->status = record.status();
     }
-    if (!reply.status.ok()) failed = true;
-    out.ops.push_back(std::move(reply));
-  }
-  // Durability gate on the yes-vote: the staged effects must survive a
-  // kill -9 between this reply and the coordinator's Decide, so the
-  // ledger entry is persisted BEFORE the vote leaves the server. A
-  // server that cannot persist flips its vote to no (the coordinator
-  // then aborts). Skipped when an op already failed — the coordinator
-  // cannot commit such a transaction.
-  if (!failed) {
-    Status persisted = server.PersistPrepared(txn);
-    if (!persisted.ok()) {
-      for (size_t i = 0; i < batch.ops.size(); ++i) {
-        if (std::holds_alternative<PrepareRequest>(batch.ops[i])) {
-          out.ops[i].status = persisted;
-          out.ops[i].body = PrepareReply{false};
-        }
-      }
+  } else if (const auto* checkin = std::get_if<CheckinRequest>(&op)) {
+    auto dov = server.PrepareCheckin(txn, checkin->dop, checkin->object,
+                                     checkin->predecessors,
+                                     checkin->created_at);
+    if (dov.ok()) {
+      reply->body = CheckinReply{*dov};
+    } else {
+      reply->status = dov.status();
     }
+  } else if (const auto* commit = std::get_if<CommitDopRequest>(&op)) {
+    reply->status =
+        server.PrepareFinish(txn, commit->dop, /*commit_outcome=*/true);
+  } else if (const auto* abort = std::get_if<AbortDopRequest>(&op)) {
+    reply->status =
+        server.PrepareFinish(txn, abort->dop, /*commit_outcome=*/false);
+  } else {
+    return false;
   }
-  return out;
+  return true;
 }
 
 }  // namespace
@@ -410,9 +290,15 @@ BatchReply DispatchBatch(ServerTm& server, const BatchRequest& batch) {
   //  - [Prepare, ops..., Decide]: the single-participant degenerate
   //    case — both 2PC legs ride one envelope, ops apply directly.
   //  - [Prepare, ops...]: phase 1 of a multi-participant transaction —
-  //    state changes are staged in the ledger (DispatchPhaseOne).
+  //    state changes are staged in the ledger (StageOp). Registrations
+  //    are enlistment, not data: they apply immediately and SURVIVE a
+  //    Decide(abort), exactly like the degenerate envelope (where a
+  //    failed checkin skips the commit but leaves the Begin-of-DOP
+  //    standing). The client records the node as a participant on the
+  //    Begin reply, so both sides agree the node is enlisted whatever
+  //    the outcome — End-of-DOP releases the registration either way.
   //  - [Decide]: phase 2 — resolves the staged transaction.
-  //  - no control ops at all: plain direct execution (typed wrappers).
+  //  - no control ops at all: plain direct execution.
   const PrepareRequest* prepare = nullptr;
   bool has_decide = false;
   for (const ServerRequest& op : batch.ops) {
@@ -422,136 +308,57 @@ BatchReply DispatchBatch(ServerTm& server, const BatchRequest& batch) {
       has_decide = true;
     }
   }
-  if (prepare != nullptr && !has_decide) {
-    return DispatchPhaseOne(server, batch, prepare->txn);
-  }
-
-  // Pipelined independent envelope: a batch the client has marked
-  // order-free — plain checkout warm-ups, or the degenerate [Prepare,
-  // ops, Decide] shape an async DM produces when it opens and finishes
-  // many DOPs at once — executes as partition wavefronts: every
-  // executor the envelope touches works its slice of the batch at once
-  // instead of the ops walking the node serially. Checkins keep the
-  // serial path (each is its own WAL-committed ACID unit), so any
-  // envelope carrying one falls through.
-  if (batch.independent && batch.ops.size() > 1) {
-    std::vector<ServerTm::IndependentOp> core;
-    std::vector<size_t> core_slot(batch.ops.size(), SIZE_MAX);
-    bool eligible = true;
-    for (size_t i = 0; i < batch.ops.size(); ++i) {
-      const ServerRequest& op = batch.ops[i];
-      ServerTm::IndependentOp out;
-      if (std::holds_alternative<PrepareRequest>(op) ||
-          std::holds_alternative<DecideRequest>(op)) {
-        continue;  // control legs answered during reply assembly
-      } else if (const auto* begin = std::get_if<BeginDopRequest>(&op)) {
-        out.kind = ServerTm::IndependentOp::Kind::kBeginDop;
-        out.dop = begin->dop;
-        out.da = begin->da;
-      } else if (const auto* checkout = std::get_if<CheckoutRequest>(&op)) {
-        out.kind = ServerTm::IndependentOp::Kind::kCheckout;
-        out.dop = checkout->dop;
-        out.dov = checkout->dov;
-        out.take_derivation_lock = checkout->take_derivation_lock;
-      } else if (const auto* commit = std::get_if<CommitDopRequest>(&op)) {
-        out.kind = ServerTm::IndependentOp::Kind::kCommitDop;
-        out.dop = commit->dop;
-      } else if (const auto* abort = std::get_if<AbortDopRequest>(&op)) {
-        out.kind = ServerTm::IndependentOp::Kind::kAbortDop;
-        out.dop = abort->dop;
-      } else if (const auto* da_of = std::get_if<DaOfDopRequest>(&op)) {
-        out.kind = ServerTm::IndependentOp::Kind::kDaOfDop;
-        out.dop = da_of->dop;
-      } else {
-        eligible = false;
-        break;
-      }
-      core_slot[i] = core.size();
-      core.push_back(out);
-    }
-    if (eligible && core.size() > 1) {
-      std::vector<ServerTm::IndependentOpResult> results =
-          server.ExecuteIndependentBatch(core);
-      BatchReply out;
-      out.ops.reserve(batch.ops.size());
-      for (size_t i = 0; i < batch.ops.size(); ++i) {
-        ServerReply reply;
-        if (std::holds_alternative<PrepareRequest>(batch.ops[i])) {
-          // Reachability IS the vote (degenerate envelope; see below).
-          reply.body = PrepareReply{true};
-        } else if (const auto* decide =
-                       std::get_if<DecideRequest>(&batch.ops[i])) {
-          reply.status = server.Decide(decide->txn, decide->commit);
-          reply.body = AckReply{};
-        } else {
-          ServerTm::IndependentOpResult& result = results[core_slot[i]];
-          reply.status = std::move(result.status);
-          if (reply.status.ok()) {
-            if (result.record.has_value()) {
-              reply.body = CheckoutReply{std::move(*result.record)};
-            } else if (std::holds_alternative<DaOfDopRequest>(batch.ops[i])) {
-              reply.body = DaOfDopReply{result.da};
-            }
-          }
-        }
-        out.ops.push_back(std::move(reply));
-      }
-      return out;
-    }
-  }
+  const bool phase_one = prepare != nullptr && !has_decide;
 
   BatchReply out;
-  out.ops.reserve(batch.ops.size());
+  out.ops.resize(batch.ops.size());
+  // An independent envelope's data ops are order-free: one executor
+  // call runs them all as partition wavefronts, every executor the
+  // envelope touches working its slice at once. The loop below then
+  // only answers the control legs.
+  const bool one_call = batch.independent && !phase_one;
+  if (one_call) server.Execute(batch.ops, out.ops);
   bool failed = false;
-  for (const ServerRequest& op : batch.ops) {
-    ServerReply reply;
+  for (size_t i = 0; i < batch.ops.size(); ++i) {
+    const ServerRequest& op = batch.ops[i];
+    ServerReply& reply = out.ops[i];
     if (std::holds_alternative<PrepareRequest>(op)) {
-      // Reachability IS the vote: in the degenerate envelope the
-      // server-TM holds no prepared state (every repository write
-      // inside the envelope is its own ACID unit), so an envelope that
-      // arrived can always commit.
+      // Reachability IS the vote: in the degenerate envelope every
+      // repository write is its own ACID unit, and in phase 1 arrival
+      // plus successful staging is the vote (the persist gate below
+      // may still flip it).
       reply.body = PrepareReply{true};
     } else if (const auto* decide = std::get_if<DecideRequest>(&op)) {
       // In the degenerate envelope the ops already applied and the
       // ledger holds nothing — Decide acknowledges trivially. As a
       // standalone phase-2 envelope it resolves the staged txn.
       reply.status = server.Decide(decide->txn, decide->commit);
-      reply.body = AckReply{};
+    } else if (one_call) {
+      // Answered by the executor call above.
     } else if (failed && !batch.independent) {
       reply.status = Status::Aborted(
           "skipped: an earlier request in the batch failed");
-    } else if (const auto* begin = std::get_if<BeginDopRequest>(&op)) {
-      reply.status = server.BeginDop(begin->dop, begin->da);
-    } else if (const auto* checkout = std::get_if<CheckoutRequest>(&op)) {
-      auto record = server.Checkout(checkout->dop, checkout->dov,
-                                    checkout->take_derivation_lock);
-      if (record.ok()) {
-        reply.body = CheckoutReply{std::move(*record)};
-      } else {
-        reply.status = record.status();
-      }
-    } else if (const auto* checkin = std::get_if<CheckinRequest>(&op)) {
-      auto dov = server.Checkin(checkin->dop, checkin->object,
-                                checkin->predecessors, checkin->created_at);
-      if (dov.ok()) {
-        reply.body = CheckinReply{*dov};
-      } else {
-        reply.status = dov.status();
-      }
-    } else if (const auto* commit = std::get_if<CommitDopRequest>(&op)) {
-      reply.status = server.CommitDop(commit->dop);
-    } else if (const auto* abort = std::get_if<AbortDopRequest>(&op)) {
-      reply.status = server.AbortDop(abort->dop);
-    } else if (const auto* da_of = std::get_if<DaOfDopRequest>(&op)) {
-      auto da = server.DaOfDop(da_of->dop);
-      if (da.ok()) {
-        reply.body = DaOfDopReply{*da};
-      } else {
-        reply.status = da.status();
-      }
+    } else if (!phase_one || !StageOp(server, prepare->txn, op, &reply)) {
+      server.Execute({&op, 1}, {&reply, 1});
     }
     if (!reply.status.ok()) failed = true;
-    out.ops.push_back(std::move(reply));
+  }
+  // Durability gate on a phase-1 yes-vote: the staged effects must
+  // survive a kill -9 between this reply and the coordinator's Decide,
+  // so the ledger entry is persisted BEFORE the vote leaves the server.
+  // A server that cannot persist flips its vote to no (the coordinator
+  // then aborts). Skipped when an op already failed — the coordinator
+  // cannot commit such a transaction.
+  if (phase_one && !failed) {
+    Status persisted = server.PersistPrepared(prepare->txn);
+    if (!persisted.ok()) {
+      for (size_t i = 0; i < batch.ops.size(); ++i) {
+        if (std::holds_alternative<PrepareRequest>(batch.ops[i])) {
+          out.ops[i].status = persisted;
+          out.ops[i].body = PrepareReply{false};
+        }
+      }
+    }
   }
   return out;
 }

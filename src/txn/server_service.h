@@ -25,10 +25,10 @@ namespace concord::txn {
 /// of Sect. 5.2, a reply carrying a typed Status plus the payload, and
 /// a BatchRequest envelope that ships several requests in ONE server
 /// round trip. Everything is serializable with the common/serde codec
-/// (see EncodeBatchRequest below), so the same envelope runs in-process
-/// (LocalServerService) or marshalled over the simulated LAN
-/// (RemoteServerStub) without the caller noticing anything but the
-/// message counters.
+/// (see EncodeBatchRequest below), so the same envelope runs marshalled
+/// over the simulated LAN (RemoteServerStub) or a real socket
+/// (net::NetServerService) without the caller noticing anything but
+/// the message counters.
 ///
 /// The 2PC legs of a critical interaction ride the same envelope:
 /// PrepareRequest is the server-side phase-1 vote, DecideRequest the
@@ -99,15 +99,17 @@ using ServerRequest =
                  CommitDopRequest, AbortDopRequest, DaOfDopRequest,
                  PrepareRequest, DecideRequest>;
 
-/// The envelope: requests executed in order on the server, one round
-/// trip for the lot. By default the ops form a dependent chain: data
-/// requests after a failed data request are skipped (their reply
-/// carries kAborted) — so [Checkin, CommitDop] cannot commit a DOP
-/// whose checkin failed the integrity test — while the Prepare/Decide
-/// control legs always execute. Setting `independent` declares the
-/// ops unrelated: every one executes regardless of earlier failures
-/// (the recovery warm-up uses this — one withdrawn input must not
-/// keep the still-visible ones cold).
+/// The envelope: requests executed on the server, one round trip for
+/// the lot. By default the ops form a dependent chain executed in
+/// order: data requests after a failed data request are skipped (their
+/// reply carries kAborted) — so [Checkin, CommitDop] cannot commit a
+/// DOP whose checkin failed the integrity test — while the
+/// Prepare/Decide control legs always execute. Setting `independent`
+/// declares the ops unrelated and order-free: every one executes
+/// regardless of the others' failures, and the server-TM runs them as
+/// one set of partition wavefronts (ServerTm::Execute). The recovery
+/// warm-up uses this — one withdrawn input must not keep the
+/// still-visible ones cold.
 struct BatchRequest {
   std::vector<ServerRequest> ops;
   bool independent = false;
@@ -154,11 +156,10 @@ struct BatchReply {
 class ServerTm;
 
 /// The client side of the server-TM protocol. Exactly one transport
-/// primitive — Execute, one envelope per server round trip — plus typed
-/// single-op conveniences implemented on top of it, so every
-/// implementation (in-process or remote) funnels through the same
-/// serializable surface. ClientTm programs only against this interface;
-/// it neither includes nor stores a ServerTm.
+/// primitive — Execute, one envelope per server round trip — so every
+/// implementation funnels through the same serializable surface.
+/// ClientTm programs only against this interface; it neither includes
+/// nor stores a ServerTm.
 class ServerService {
  public:
   virtual ~ServerService() = default;
@@ -171,27 +172,16 @@ class ServerService {
   /// failure: server unreachable, retries exhausted, malformed wire
   /// payload. Application outcomes ride inside the replies.
   virtual Result<BatchReply> Execute(const BatchRequest& batch) = 0;
-
-  // Typed single-op wrappers (one-request envelopes).
-  Status BeginDop(DopId dop, DaId da);
-  Result<storage::DovRecord> Checkout(DopId dop, DovId dov,
-                                      bool take_derivation_lock = false);
-  Result<DovId> Checkin(DopId dop, storage::DesignObject object,
-                        std::vector<DovId> predecessors, SimTime created_at);
-  Status CommitDop(DopId dop);
-  Status AbortDop(DopId dop);
-  Result<DaId> DaOfDop(DopId dop);
-  Result<bool> Prepare(TxnId txn);
-
- private:
-  /// Runs a one-request envelope and returns its single reply.
-  Result<ServerReply> ExecuteOne(ServerRequest op);
 };
 
 /// Executes the envelope against a server-TM: the shared server-side
-/// dispatch used by LocalServerService (in-process) and the RPC
-/// endpoint (RegisterServerService). Implements the skip-after-failure
-/// rule documented on BatchRequest.
+/// dispatch behind every endpoint (RegisterServerService, concordd).
+/// One loop serves every envelope shape. An independent envelope's data
+/// ops go to ServerTm::Execute in one call; a dependent envelope's go
+/// one op per call, so the skip-after-failure rule documented on
+/// BatchRequest holds; a phase-1 envelope ([Prepare, ops...] with no
+/// Decide) stages its state changes through the server-TM's Prepare*
+/// family and persists the stage before the yes-vote.
 BatchReply DispatchBatch(ServerTm& server, const BatchRequest& batch);
 
 // --- Wire codec (common/serde framing) ------------------------------------

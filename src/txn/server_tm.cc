@@ -2,7 +2,9 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/logging.h"
 #include "common/serde.h"
@@ -18,6 +20,40 @@ constexpr const char* kPreparedMetaPrefix = "2pc/";
 
 std::string PreparedLedgerKey(TxnId txn) {
   return kPreparedMetaPrefix + std::to_string(txn.value());
+}
+
+/// Bit of request type T in an op-kind mask (bit = variant index).
+template <typename T, size_t I = 0>
+constexpr uint32_t KindBit() {
+  if constexpr (std::is_same_v<T, std::variant_alternative_t<I, ServerRequest>>) {
+    return 1u << I;
+  } else {
+    return KindBit<T, I + 1>();
+  }
+}
+
+constexpr uint32_t kBegin = KindBit<BeginDopRequest>();
+constexpr uint32_t kCheckout = KindBit<CheckoutRequest>();
+constexpr uint32_t kCheckin = KindBit<CheckinRequest>();
+constexpr uint32_t kFinish =
+    KindBit<CommitDopRequest>() | KindBit<AbortDopRequest>();
+constexpr uint32_t kDaOfDop = KindBit<DaOfDopRequest>();
+constexpr uint32_t kControl =
+    KindBit<PrepareRequest>() | KindBit<DecideRequest>();
+
+uint32_t KindOf(const ServerRequest& op) { return 1u << op.index(); }
+
+/// The DOP a data op names (every data request carries one).
+DopId DopOf(const ServerRequest& op) {
+  return std::visit(
+      [](const auto& request) {
+        if constexpr (requires { request.dop; }) {
+          return request.dop;
+        } else {
+          return DopId();
+        }
+      },
+      op);
 }
 
 }  // namespace
@@ -84,13 +120,6 @@ Result<DaId> ServerTm::LookupDopIn(const Partition& part, DopId dop) const {
   return Status::NotFound(dop.ToString() + " not registered at server-TM");
 }
 
-Result<DaId> ServerTm::LookupDop(DopId dop) const {
-  size_t p = DopPart(dop);
-  const Partition& part = *parts_[p];
-  return engine_.Run(
-      p, [&]() -> Result<DaId> { return LookupDopIn(part, dop); });
-}
-
 Status ServerTm::CheckOwnsDa(const Partition& part, DaId da) const {
   if (placement_ == nullptr) return Status::OK();
   NodeId home = placement_->HomeOf(da);
@@ -120,19 +149,12 @@ Status ServerTm::BeginDopIn(Partition& part, DopId dop, DaId da) {
   return Status::OK();
 }
 
-Status ServerTm::BeginDop(DopId dop, DaId da) {
-  size_t p = DopPart(dop);
-  Partition& part = *parts_[p];
-  return engine_.Run(p,
-                     [&]() -> Status { return BeginDopIn(part, dop, da); });
-}
-
-ServerTm::CheckoutStep ServerTm::CheckoutStepIn(size_t pv, DovId dov, DaId da,
-                                                bool take_derivation_lock) {
+bool ServerTm::CheckoutStepIn(size_t pv, const CheckoutRequest& checkout,
+                              DaId da, ServerReply* reply) {
   // Executor-resident: the lock-table slice and repository sub-shard
   // below belong to partition pv.
   CONCORD_ASSERT_ON_PARTITION(pv);
-  CheckoutStep step;
+  DovId dov = checkout.dov;
   LockManager& slice = locks_.Slice(pv);
   Partition& part = *parts_[pv];
   // Test 2 (test 1, the scope check, ran on the dispatcher): no
@@ -141,93 +163,104 @@ ServerTm::CheckoutStep ServerTm::CheckoutStepIn(size_t pv, DovId dov, DaId da,
   if (holder.valid() && holder != da) {
     slice.ReleaseShort(dov);
     ++part.counters.checkouts_denied_lock;
-    step.status = Status::LockConflict(dov.ToString() +
-                                       " derivation-locked by " +
-                                       holder.ToString());
-    return step;
+    reply->status = Status::LockConflict(dov.ToString() +
+                                         " derivation-locked by " +
+                                         holder.ToString());
+    return false;
   }
-  if (take_derivation_lock) {
+  if (checkout.take_derivation_lock) {
     Status st = slice.AcquireDerivation(dov, da);
     if (!st.ok()) {
       slice.ReleaseShort(dov);
       ++part.counters.checkouts_denied_lock;
-      step.status = st;
-      return step;
+      reply->status = std::move(st);
+      return false;
     }
-    step.lock_acquired = true;
   }
   auto record = repository_->Get(dov);
   slice.ReleaseShort(dov);
   if (!record.ok()) {
-    step.status = record.status();
-    return step;
+    reply->status = record.status();
+  } else {
+    reply->body = CheckoutReply{std::move(*record)};
+    ++part.counters.checkouts;
   }
-  step.status = Status::OK();
-  step.record = std::move(*record);
-  ++part.counters.checkouts;
-  return step;
+  return checkout.take_derivation_lock;
 }
 
-void ServerTm::RecordHeldLock(DopId dop, DovId dov) {
-  size_t p = DopPart(dop);
-  Partition& part = *parts_[p];
-  engine_.Run(p, [&] {
-    MutexLock lock(&part.mu);
-    part.dop_derivation_locks[dop].push_back(dov);
-  });
+void ServerTm::RecordHeldLockIn(Partition& part, DopId dop, DovId dov) {
+  MutexLock lock(&part.mu);
+  part.dop_derivation_locks[dop].push_back(dov);
 }
 
-Result<storage::DovRecord> ServerTm::Checkout(DopId dop, DovId dov,
-                                              bool take_derivation_lock) {
-  CONCORD_ASSIGN_OR_RETURN(DaId da, LookupDop(dop));
-
-  size_t pv = DovPart(dov);
-  Partition& vpart = *parts_[pv];
-  // The short lock and the scope test run on the dispatcher: the scope
-  // authority may re-enter the cooperation manager's recursive mutex,
-  // which THIS thread may already hold (event delivery running a tool)
-  // — an executor-side callout would deadlock against it. The short
-  // lock is accounting (a depth counter), so taking it off the owning
-  // executor is safe.
-  locks_.Slice(pv).AcquireShort(dov);
-  // Test 1: the DOV must belong to the scope of the DOP's DA.
-  if (!scope_authority_->InScope(da, dov)) {
-    locks_.Slice(pv).ReleaseShort(dov);
-    ++vpart.counters.checkouts_denied_scope;
-    return Status::PermissionDenied(dov.ToString() +
-                                    " is not in the scope of " +
-                                    da.ToString());
-  }
-  if (DopPart(dop) != pv) ++vpart.counters.cross_partition_ops;
-  CheckoutStep step = engine_.Run(
-      pv, [&] { return CheckoutStepIn(pv, dov, da, take_derivation_lock); });
-  if (step.lock_acquired) {
-    RecordHeldLock(dop, dov);
-    PublishDerivationLock(dov, da);
-  }
-  if (!step.status.ok()) return step.status;
-  return std::move(*step.record);
-}
-
-std::vector<ServerTm::IndependentOpResult> ServerTm::ExecuteIndependentBatch(
-    const std::vector<IndependentOp>& ops) {
-  using Kind = IndependentOp::Kind;
-  // Choreography: posts wavefronts and waits on their futures — doing
-  // that from an executor would deadlock the mailbox.
+void ServerTm::Execute(std::span<const ServerRequest> ops,
+                       std::span<ServerReply> replies) {
+  // Choreography: runs wavefronts and waits on them — doing that from
+  // an executor would deadlock the mailbox.
   CONCORD_ASSERT_OFF_EXECUTOR();
-  size_t partitions = engine_.count();
-  std::vector<IndependentOpResult> results(ops.size());
-  if (ops.empty()) return results;
-  ++parts_[0]->counters.pipelined_batches;
-  parts_[0]->counters.pipelined_ops += ops.size();
+  const size_t n = ops.size();
+  uint32_t kinds = 0;
+  size_t data_ops = 0;
+  for (const ServerRequest& op : ops) {
+    if (KindOf(op) & kControl) continue;
+    kinds |= KindOf(op);
+    ++data_ops;
+  }
+  if (data_ops > 1) {
+    ++parts_[0]->counters.pipelined_batches;
+    parts_[0]->counters.pipelined_ops += data_ops;
+  }
 
-  /// One wavefront: eligible op indices grouped by `part_of(i)`, ONE
-  /// task per partition running `body(i)` over its group in envelope
-  /// order.
-  auto wavefront = [&](auto part_of, auto eligible, auto body) {
-    std::vector<std::vector<size_t>> by_part(partitions);
+  /// Per-op dispatcher state carried between steps: the DOP's DA, a
+  /// checkout's acquired lock, an End-of-DOP's extracted locks. A
+  /// one-op call keeps it on the stack.
+  struct OpState {
+    DaId da;
+    bool lock_acquired = false;
+    std::vector<DovId> held;
+  };
+  OpState single;
+  std::vector<OpState> many(n > 1 ? n : 0);
+  OpState* state = n > 1 ? many.data() : &single;
+
+  /// The ops of `mask` kinds that no earlier step has failed.
+  auto live = [&](uint32_t mask) {
+    return [&, mask](size_t i) {
+      return (KindOf(ops[i]) & mask) && replies[i].status.ok();
+    };
+  };
+  auto dop_part = [&](size_t i) { return DopPart(DopOf(ops[i])); };
+  auto dov_part = [&](size_t i) {
+    return DovPart(std::get<CheckoutRequest>(ops[i]).dov);
+  };
+  /// One step: the eligible ops grouped by `part_of(i)`, ONE task per
+  /// partition running `body(i)` over its group in envelope order. An
+  /// eligible set on one partition is a single Run with no grouping.
+  auto wavefront = [&](auto eligible, auto part_of, auto body) {
+    size_t first = n;
+    size_t only = 0;
+    bool spread = false;
+    for (size_t i = 0; i < n && !spread; ++i) {
+      if (!eligible(i)) continue;
+      if (first == n) {
+        first = i;
+        only = part_of(i);
+      } else {
+        spread = part_of(i) != only;
+      }
+    }
+    if (first == n) return;
+    if (!spread) {
+      engine_.Run(only, [&] {
+        for (size_t i = first; i < n; ++i) {
+          if (eligible(i)) body(i);
+        }
+      });
+      return;
+    }
+    std::vector<std::vector<size_t>> by_part(engine_.count());
     std::vector<size_t> touched;
-    for (size_t i = 0; i < ops.size(); ++i) {
+    for (size_t i = first; i < n; ++i) {
       if (!eligible(i)) continue;
       size_t p = part_of(i);
       if (by_part[p].empty()) touched.push_back(p);
@@ -238,119 +271,175 @@ std::vector<ServerTm::IndependentOpResult> ServerTm::ExecuteIndependentBatch(
     });
   };
 
-  // Wavefront 0 — Begin-of-DOP registrations. They fan out BEFORE the
-  // lookups: an envelope may open a DOP and check out into it.
-  wavefront(
-      [&](size_t i) { return DopPart(ops[i].dop); },
-      [&](size_t i) { return ops[i].kind == Kind::kBeginDop; },
-      [&](size_t i) {
-        results[i].status =
-            BeginDopIn(*parts_[DopPart(ops[i].dop)], ops[i].dop, ops[i].da);
-      });
-
-  // Wavefront 1 — registration lookups for checkouts and DA-of-DOP
-  // reads, one task per DOP partition.
-  std::vector<DaId> das(ops.size());
-  std::vector<Status> lookups(ops.size(), Status::OK());
-  wavefront(
-      [&](size_t i) { return DopPart(ops[i].dop); },
-      [&](size_t i) {
-        return ops[i].kind == Kind::kCheckout || ops[i].kind == Kind::kDaOfDop;
-      },
-      [&](size_t i) {
-        auto da = LookupDopIn(*parts_[DopPart(ops[i].dop)], ops[i].dop);
-        if (ops[i].kind == Kind::kDaOfDop) {
-          if (da.ok()) results[i].da = *da;
-          results[i].status = da.status();
-        } else if (da.ok()) {
-          das[i] = *da;
-        } else {
-          lookups[i] = da.status();
-        }
-      });
-
-  // Dispatcher interlude — short locks and scope tests for the
-  // runnable checkouts (the scope authority must be called from this
-  // thread; see Checkout).
-  std::vector<char> runnable(ops.size(), 0);
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].kind != Kind::kCheckout) continue;
-    if (!lookups[i].ok()) {
-      results[i].status = lookups[i];
-      continue;
-    }
-    DovId dov = ops[i].dov;
-    size_t pv = DovPart(dov);
-    locks_.Slice(pv).AcquireShort(dov);
-    if (!scope_authority_->InScope(das[i], dov)) {
-      locks_.Slice(pv).ReleaseShort(dov);
-      ++parts_[pv]->counters.checkouts_denied_scope;
-      results[i].status = Status::PermissionDenied(
-          dov.ToString() + " is not in the scope of " + das[i].ToString());
-      continue;
-    }
-    if (DopPart(ops[i].dop) != pv) ++parts_[pv]->counters.cross_partition_ops;
-    runnable[i] = 1;
+  // Step 1 — Begin-of-DOP registrations, before the lookups: an
+  // envelope may open a DOP and work in it.
+  if (kinds & kBegin) {
+    wavefront(live(kBegin), dop_part, [&](size_t i) {
+      const auto& begin = std::get<BeginDopRequest>(ops[i]);
+      replies[i].status =
+          BeginDopIn(*parts_[DopPart(begin.dop)], begin.dop, begin.da);
+    });
   }
 
-  // Wavefront 2 — checkout lock tests and repository reads, one task
-  // per DOV partition.
-  std::vector<CheckoutStep> steps(ops.size());
-  wavefront(
-      [&](size_t i) { return DovPart(ops[i].dov); },
-      [&](size_t i) { return runnable[i] != 0; },
-      [&](size_t i) {
-        steps[i] = CheckoutStepIn(DovPart(ops[i].dov), ops[i].dov, das[i],
-                                  ops[i].take_derivation_lock);
-      });
-
-  // Dispatcher epilogue — held-lock records, invalidation pushes, and
-  // the positional checkout results. Runs BEFORE the End-of-DOP
-  // wavefront so a lock-taking checkout and its DOP's finish in one
-  // envelope release the just-recorded lock, like the serial path.
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (!runnable[i]) continue;
-    CheckoutStep& step = steps[i];
-    if (step.lock_acquired) {
-      RecordHeldLock(ops[i].dop, ops[i].dov);
-      PublishDerivationLock(ops[i].dov, das[i]);
+  // Step 2 — registration lookups, one task per DOP partition.
+  if (kinds & (kCheckout | kCheckin | kDaOfDop)) {
+    wavefront(live(kCheckout | kCheckin | kDaOfDop), dop_part, [&](size_t i) {
+      DopId dop = DopOf(ops[i]);
+      auto da = LookupDopIn(*parts_[DopPart(dop)], dop);
+      if (!da.ok()) {
+        replies[i].status = da.status();
+        return;
+      }
+      state[i].da = *da;
+      if (KindOf(ops[i]) & kDaOfDop) replies[i].body = DaOfDopReply{*da};
+    });
+  }
+  // Dispatcher interlude — checkin placement checks, and the checkouts'
+  // short locks and scope tests. The scope authority may re-enter the
+  // cooperation manager's recursive mutex, which THIS thread may
+  // already hold (event delivery running a tool), so an executor-side
+  // callout would deadlock against it. The short lock is accounting (a
+  // depth counter), so taking it off the owning executor is safe.
+  if (kinds & (kCheckout | kCheckin)) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!replies[i].status.ok()) continue;
+      if (const auto* checkin = std::get_if<CheckinRequest>(&ops[i])) {
+        // In a sharded plane the new DOV must be created on (and
+        // id-stamped by) the DA's home node; a checkin routed here via
+        // a stale workstation placement cache is rejected with the
+        // typed status the client-TM refreshes on.
+        replies[i].status =
+            CheckOwnsDa(*parts_[DopPart(checkin->dop)], state[i].da);
+        continue;
+      }
+      const auto* checkout = std::get_if<CheckoutRequest>(&ops[i]);
+      if (checkout == nullptr) continue;
+      DovId dov = checkout->dov;
+      size_t pv = DovPart(dov);
+      locks_.Slice(pv).AcquireShort(dov);
+      // Test 1: the DOV must belong to the scope of the DOP's DA.
+      if (!scope_authority_->InScope(state[i].da, dov)) {
+        locks_.Slice(pv).ReleaseShort(dov);
+        ++parts_[pv]->counters.checkouts_denied_scope;
+        replies[i].status = Status::PermissionDenied(
+            dov.ToString() + " is not in the scope of " +
+            state[i].da.ToString());
+        continue;
+      }
+      if (DopPart(checkout->dop) != pv) {
+        ++parts_[pv]->counters.cross_partition_ops;
+      }
     }
-    if (step.status.ok()) {
-      results[i].record = std::move(step.record);
-    }
-    results[i].status = std::move(step.status);
   }
 
-  // Wavefront 3 — End-of-DOP extractions, one task per DOP partition;
-  // the derivation-lock releases then fan out per DOV partition in one
-  // combined pass.
-  std::vector<std::vector<DovId>> held(ops.size());
-  wavefront(
-      [&](size_t i) { return DopPart(ops[i].dop); },
-      [&](size_t i) {
-        return ops[i].kind == Kind::kCommitDop ||
-               ops[i].kind == Kind::kAbortDop;
-      },
-      [&](size_t i) {
-        results[i].status = FinishExtractIn(*parts_[DopPart(ops[i].dop)],
-                                            ops[i].dop, &das[i], &held[i]);
-      });
-  std::vector<std::pair<DovId, DaId>> releases;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].kind != Kind::kCommitDop && ops[i].kind != Kind::kAbortDop) {
-      continue;
-    }
-    if (!results[i].status.ok()) continue;
-    for (DovId dov : held[i]) releases.emplace_back(dov, das[i]);
-    Partition& part = *parts_[DopPart(ops[i].dop)];
-    if (ops[i].kind == Kind::kCommitDop) {
-      ++part.counters.dops_committed;
-    } else {
-      ++part.counters.dops_aborted;
+  // Step 3 — checkout lock tests and reads, one task per DOV partition;
+  // then each acquired lock is recorded on its DOP's partition (before
+  // step 5, so a finish in the same call releases it) and pushed to
+  // the workstation caches.
+  if (kinds & kCheckout) {
+    wavefront(live(kCheckout), dov_part, [&](size_t i) {
+      state[i].lock_acquired =
+          CheckoutStepIn(dov_part(i), std::get<CheckoutRequest>(ops[i]),
+                         state[i].da, &replies[i]);
+    });
+    auto locked = [&](size_t i) { return state[i].lock_acquired; };
+    wavefront(locked, dop_part, [&](size_t i) {
+      const auto& checkout = std::get<CheckoutRequest>(ops[i]);
+      RecordHeldLockIn(*parts_[DopPart(checkout.dop)], checkout.dop,
+                       checkout.dov);
+    });
+    for (size_t i = 0; i < n; ++i) {
+      if (locked(i)) {
+        PublishDerivationLock(std::get<CheckoutRequest>(ops[i]).dov,
+                              state[i].da);
+      }
     }
   }
-  ReleaseDerivationLocks(releases);
-  return results;
+
+  // Step 4 — checkins, in envelope order: each is its own repository
+  // transaction on the new DOV's partition.
+  if (kinds & kCheckin) {
+    auto checkin_live = live(kCheckin);
+    for (size_t i = 0; i < n; ++i) {
+      if (!checkin_live(i)) continue;
+      const auto& checkin = std::get<CheckinRequest>(ops[i]);
+      storage::DovRecord record =
+          NewRecord(state[i].da, checkin.dop, checkin.object,
+                    checkin.predecessors, checkin.created_at);
+      DovId new_id = record.id;
+      if (DopPart(checkin.dop) != DovPart(new_id)) {
+        ++parts_[DovPart(new_id)]->counters.cross_partition_ops;
+      }
+      replies[i].status = ApplyCheckin(std::move(record));
+      if (replies[i].status.ok()) replies[i].body = CheckinReply{new_id};
+    }
+  }
+
+  // Step 5 — End-of-DOP, either outcome: deregister and release the
+  // DOP's derivation locks ("the server-TM is firstly asked to release
+  // the derivation locks held", Sect. 5.2). The extractions run on the
+  // DOPs' partitions; the releases then fan out per DOV partition in
+  // one combined pass.
+  if (kinds & kFinish) {
+    wavefront(live(kFinish), dop_part, [&](size_t i) {
+      DopId dop = DopOf(ops[i]);
+      replies[i].status = FinishExtractIn(*parts_[DopPart(dop)], dop,
+                                          &state[i].da, &state[i].held);
+    });
+    auto finished = live(kFinish);
+    std::vector<std::pair<DovId, DaId>> releases;
+    for (size_t i = 0; i < n; ++i) {
+      if (!finished(i)) continue;
+      for (DovId dov : state[i].held) releases.emplace_back(dov, state[i].da);
+      PartitionCounters& counters = parts_[dop_part(i)]->counters;
+      if (std::holds_alternative<CommitDopRequest>(ops[i])) {
+        ++counters.dops_committed;
+      } else {
+        ++counters.dops_aborted;
+      }
+    }
+    ReleaseDerivationLocks(releases);
+  }
+}
+
+ServerReply ServerTm::RunOne(ServerRequest op) {
+  ServerReply reply;
+  Execute({&op, 1}, {&reply, 1});
+  return reply;
+}
+
+Status ServerTm::BeginDop(DopId dop, DaId da) {
+  return RunOne(BeginDopRequest{dop, da}).status;
+}
+
+Result<storage::DovRecord> ServerTm::Checkout(DopId dop, DovId dov,
+                                              bool take_derivation_lock) {
+  ServerReply reply = RunOne(CheckoutRequest{dop, dov, take_derivation_lock});
+  CONCORD_RETURN_NOT_OK(reply.status);
+  return std::move(std::get<CheckoutReply>(reply.body).record);
+}
+
+Result<DovId> ServerTm::Checkin(DopId dop, storage::DesignObject object,
+                                const std::vector<DovId>& predecessors,
+                                SimTime created_at) {
+  ServerReply reply = RunOne(
+      CheckinRequest{dop, std::move(object), predecessors, created_at});
+  CONCORD_RETURN_NOT_OK(reply.status);
+  return std::get<CheckinReply>(reply.body).dov;
+}
+
+Status ServerTm::CommitDop(DopId dop) {
+  return RunOne(CommitDopRequest{dop}).status;
+}
+
+Status ServerTm::AbortDop(DopId dop) {
+  return RunOne(AbortDopRequest{dop}).status;
+}
+
+Result<DaId> ServerTm::DaOfDop(DopId dop) {
+  ServerReply reply = RunOne(DaOfDopRequest{dop});
+  CONCORD_RETURN_NOT_OK(reply.status);
+  return std::get<DaOfDopReply>(reply.body).da;
 }
 
 void ServerTm::PublishDerivationLock(DovId dov, DaId da) {
@@ -383,6 +472,21 @@ void ServerTm::PublishDerivationLock(DovId dov, DaId da) {
   invalidations_->Publish(message);
 }
 
+storage::DovRecord ServerTm::NewRecord(DaId da, DopId dop,
+                                       storage::DesignObject object,
+                                       const std::vector<DovId>& predecessors,
+                                       SimTime created_at) {
+  storage::DovRecord record;
+  record.id = repository_->NextDovId();
+  record.owner_da = da;
+  record.created_by = dop;
+  record.type = object.type();
+  record.data = std::move(object);
+  record.predecessors = predecessors;
+  record.created_at = created_at;
+  return record;
+}
+
 Status ServerTm::ApplyCheckin(storage::DovRecord record) {
   DovId new_id = record.id;
   DaId da = record.owner_da;
@@ -411,32 +515,6 @@ Status ServerTm::ApplyCheckin(storage::DovRecord record) {
   });
 }
 
-Result<DovId> ServerTm::Checkin(DopId dop, storage::DesignObject object,
-                                const std::vector<DovId>& predecessors,
-                                SimTime created_at) {
-  CONCORD_ASSIGN_OR_RETURN(DaId da, LookupDop(dop));
-  // In a sharded plane the new DOV must be created on (and id-stamped
-  // by) the DA's home node; a checkin routed here via a stale
-  // workstation placement cache is rejected with the typed status the
-  // client-TM refreshes on.
-  CONCORD_RETURN_NOT_OK(CheckOwnsDa(*parts_[DopPart(dop)], da));
-
-  storage::DovRecord record;
-  record.id = repository_->NextDovId();
-  record.owner_da = da;
-  record.created_by = dop;
-  record.type = object.type();
-  record.data = std::move(object);
-  record.predecessors = predecessors;
-  record.created_at = created_at;
-  DovId new_id = record.id;
-  if (DopPart(dop) != DovPart(new_id)) {
-    ++parts_[DovPart(new_id)]->counters.cross_partition_ops;
-  }
-  CONCORD_RETURN_NOT_OK(ApplyCheckin(std::move(record)));
-  return new_id;
-}
-
 Status ServerTm::FinishExtractIn(Partition& part, DopId dop, DaId* da,
                                  std::vector<DovId>* held) {
   MutexLock lock(&part.mu);
@@ -459,32 +537,6 @@ Status ServerTm::FinishExtractIn(Partition& part, DopId dop, DaId* da,
   return Status::OK();
 }
 
-Status ServerTm::FinishDop(DopId dop, bool committed) {
-  // End-of-DOP, either outcome: deregister and release the DOP's
-  // derivation locks ("the server-TM is firstly asked to release the
-  // derivation locks held", Sect. 5.2). The registration and lock list
-  // are extracted on the DOP's partition; the releases then fan out to
-  // the partitions owning the locked DOVs.
-  size_t p = DopPart(dop);
-  Partition& part = *parts_[p];
-  DaId da;
-  std::vector<DovId> held;
-  Status extracted = engine_.Run(p, [&]() -> Status {
-    return FinishExtractIn(part, dop, &da, &held);
-  });
-  if (!extracted.ok()) return extracted;
-  std::vector<std::pair<DovId, DaId>> pairs;
-  pairs.reserve(held.size());
-  for (DovId dov : held) pairs.emplace_back(dov, da);
-  ReleaseDerivationLocks(pairs);
-  if (committed) {
-    ++part.counters.dops_committed;
-  } else {
-    ++part.counters.dops_aborted;
-  }
-  return Status::OK();
-}
-
 void ServerTm::ReleaseDerivationLocks(
     const std::vector<std::pair<DovId, DaId>>& locks) {
   CONCORD_ASSERT_OFF_EXECUTOR();
@@ -503,31 +555,13 @@ void ServerTm::ReleaseDerivationLocks(
   });
 }
 
-Status ServerTm::CommitDop(DopId dop) { return FinishDop(dop, true); }
-
-Status ServerTm::AbortDop(DopId dop) { return FinishDop(dop, false); }
-
-Result<DaId> ServerTm::DaOfDop(DopId dop) const { return LookupDop(dop); }
-
 // --- Cross-shard 2PC ledger ------------------------------------------------
-
-Status ServerTm::PrepareBeginDop(TxnId txn, DopId dop, DaId da) {
-  // Registrations are enlistment, not data: they apply immediately and
-  // SURVIVE a Decide(abort), exactly like the degenerate single-node
-  // envelope (where a failed checkin skips the commit but leaves the
-  // Begin-of-DOP standing). The client records the node as a
-  // participant on the Begin reply, so both sides agree the node is
-  // enlisted whatever the transaction's outcome — End-of-DOP releases
-  // the registration either way.
-  (void)txn;
-  return BeginDop(dop, da);
-}
 
 Result<storage::DovRecord> ServerTm::PrepareCheckout(
     TxnId txn, DopId dop, DovId dov, bool take_derivation_lock) {
   auto record = Checkout(dop, dov, take_derivation_lock);
   if (record.ok() && take_derivation_lock) {
-    auto da = LookupDop(dop);
+    auto da = DaOfDop(dop);
     if (da.ok()) {
       size_t pt = TxnPart(txn);
       Partition& tpart = *parts_[pt];
@@ -544,7 +578,7 @@ Result<DovId> ServerTm::PrepareCheckin(TxnId txn, DopId dop,
                                        storage::DesignObject object,
                                        const std::vector<DovId>& predecessors,
                                        SimTime created_at) {
-  CONCORD_ASSIGN_OR_RETURN(DaId da, LookupDop(dop));
+  CONCORD_ASSIGN_OR_RETURN(DaId da, DaOfDop(dop));
   Partition& dpart = *parts_[DopPart(dop)];
   CONCORD_RETURN_NOT_OK(CheckOwnsDa(dpart, da));
   // Run the integrity test now — the vote must be honest — but publish
@@ -559,14 +593,8 @@ Result<DovId> ServerTm::PrepareCheckin(TxnId txn, DopId dop,
                                   << integrity.ToString());
     return integrity;
   }
-  storage::DovRecord record;
-  record.id = repository_->NextDovId();
-  record.owner_da = da;
-  record.created_by = dop;
-  record.type = object.type();
-  record.data = std::move(object);
-  record.predecessors = predecessors;
-  record.created_at = created_at;
+  storage::DovRecord record =
+      NewRecord(da, dop, std::move(object), predecessors, created_at);
   DovId new_id = record.id;
   size_t pt = TxnPart(txn);
   Partition& tpart = *parts_[pt];
@@ -581,7 +609,7 @@ Status ServerTm::PrepareFinish(TxnId txn, DopId dop, bool commit_outcome) {
   // Validate now so the reply carries the typed registration failure
   // (kUnknownDop after a crash, kNotFound for a stranger) before the
   // coordinator decides; the actual release happens at Decide(commit).
-  CONCORD_RETURN_NOT_OK(LookupDop(dop).status());
+  CONCORD_RETURN_NOT_OK(DaOfDop(dop).status());
   size_t pt = TxnPart(txn);
   Partition& tpart = *parts_[pt];
   return engine_.Run(pt, [&]() -> Status {
@@ -624,8 +652,8 @@ Status ServerTm::Decide(TxnId txn, bool commit) {
   if (!commit) {
     // Presumed-abort cleanup: drop the staged effects and release the
     // derivation locks phase-1 checkouts acquired. Registrations
-    // created by the transaction's Begin-of-DOP stay — see
-    // PrepareBeginDop — so the client's participant list and this
+    // created by the transaction's Begin-of-DOP stay (see
+    // DispatchBatch), so the client's participant list and this
     // node's table keep agreeing after an abort.
     ReleaseDerivationLocks(staged.acquired_locks);
     if (staged.persisted) ErasePersistedPrepared(txn);

@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -22,6 +22,7 @@
 #include "txn/placement.h"
 #include "txn/scope_authority.h"
 #include "txn/server_lock_table.h"
+#include "txn/server_service.h"
 
 namespace concord::txn {
 
@@ -52,8 +53,8 @@ struct ServerTmStats {
   /// (e.g. a lock-taking checkout whose DOP and DOV live on different
   /// executors) — the intra-node messaging cost of partitioning.
   uint64_t cross_partition_ops = 0;
-  /// Independent envelopes executed by the pipelined wavefront path
-  /// (ExecuteIndependentBatch), and the ops they carried.
+  /// Execute calls carrying more than one data op (independent
+  /// envelopes run as one wavefront set), and the data ops they carried.
   uint64_t pipelined_batches = 0;
   uint64_t pipelined_ops = 0;
 };
@@ -120,6 +121,35 @@ class ServerTm {
   /// placement (the default) keeps the single-server behaviour.
   void JoinPlane(const PlacementMap* placement) { placement_ = placement; }
 
+  /// The server-TM's one executor: runs the data ops of `ops`
+  /// (Begin-of-DOP, checkout, checkin, End-of-DOP, DA-of-DOP) and fills
+  /// `replies` positionally. Control legs (Prepare, Decide) are skipped
+  /// and their replies left untouched; every data op's reply must
+  /// arrive default-constructed. The ops are treated as one
+  /// independent set and execute in steps, each of which gives every
+  /// partition it touches ONE task carrying all of its ops in envelope
+  /// order, the last of them run by the dispatcher itself:
+  ///  1. Begin-of-DOP registrations (an envelope may open a DOP and
+  ///     work in it);
+  ///  2. registration lookups for checkouts, checkins and DA-of-DOP
+  ///     reads, then — on the dispatcher — the checkin placement
+  ///     checks and the checkouts' short locks and scope tests;
+  ///  3. per-DOV checkout steps (Sect. 5.2: lock-compatibility test,
+  ///     optional derivation-lock acquisition, read), then the held
+  ///     lock records and their invalidation pushes;
+  ///  4. checkins, in envelope order, each its own repository
+  ///     transaction;
+  ///  5. End-of-DOP extractions with their lock-release fan-out.
+  /// A lock-taking checkout is therefore recorded before its DOP's
+  /// End-of-DOP in the same call releases it. A one-op call runs the
+  /// same partition tasks the op alone needs, and an op set on one
+  /// partition runs each step as a single Run.
+  void Execute(std::span<const ServerRequest> ops,
+               std::span<ServerReply> replies);
+
+  /// Single-op forms of Execute, for the Prepare* family, Decide,
+  /// tests and benches.
+  ///
   /// Registers a new DOP for DA `da`. The server remembers the
   /// association for scope checks and lock release.
   Status BeginDop(DopId dop, DaId da);
@@ -129,42 +159,6 @@ class ServerTm {
   /// locks bracket the operation.
   Result<storage::DovRecord> Checkout(DopId dop, DovId dov,
                                       bool take_derivation_lock);
-
-  /// One operation of a pipelined MIXED-OP independent envelope — the
-  /// order-free shapes a client-TM batches when a DM opens many DOPs
-  /// at once (Begin-of-DOPs with their input checkouts, End-of-DOPs,
-  /// registration reads). Checkins stay on the serial path: each is
-  /// its own WAL-committed ACID unit.
-  struct IndependentOp {
-    enum class Kind { kBeginDop, kCheckout, kCommitDop, kAbortDop, kDaOfDop };
-    Kind kind = Kind::kCheckout;
-    DopId dop;
-    /// kBeginDop: the registering DA.
-    DaId da;
-    /// kCheckout: the requested version.
-    DovId dov;
-    bool take_derivation_lock = false;
-  };
-  /// Positional outcome of one IndependentOp.
-  struct IndependentOpResult {
-    Status status;
-    /// kCheckout, on success.
-    std::optional<storage::DovRecord> record;
-    /// kDaOfDop, on success.
-    DaId da;
-  };
-  /// Executes a mixed independent envelope as partition wavefronts:
-  /// Begin-of-DOP registrations fan out first (an envelope may open a
-  /// DOP and check out into it), then the checkout/DA-of-DOP
-  /// registration lookups, then — after the dispatcher's scope tests —
-  /// one task per DOV partition carrying all of its checkout steps,
-  /// and finally the End-of-DOP extractions with their lock-release
-  /// fan-out. Every wavefront gives each partition the envelope touches
-  /// ONE task carrying all of its ops, the last of them run by the
-  /// dispatcher itself; within a partition ops apply in envelope
-  /// order. Results are positional.
-  std::vector<IndependentOpResult> ExecuteIndependentBatch(
-      const std::vector<IndependentOp>& ops);
 
   /// Checkin: integrity check via a repository transaction, extension
   /// of the DA's derivation graph, scope-lock to the owning DA. On
@@ -181,16 +175,18 @@ class ServerTm {
   /// abort concerns the in-flight work, handled client-side).
   Status AbortDop(DopId dop);
 
-  Result<DaId> DaOfDop(DopId dop) const;
+  /// DA of `dop`, or the typed failure: kUnknownDop if a crash wiped
+  /// the registration, kNotFound if it never existed.
+  Result<DaId> DaOfDop(DopId dop);
 
   // --- Cross-shard 2PC (prepared-transaction ledger) -----------------
   //
   // A critical interaction whose operations span several server nodes
   // cannot ride one degenerate [Prepare, ops, Decide] envelope: each
   // participant must hold its effects until the coordinator has heard
-  // every vote. DispatchBatch routes a phase-1 envelope ([Prepare,
-  // ops...] with no Decide) through these methods — reads and
-  // registrations execute immediately (with undo records), while
+  // every vote. DispatchBatch routes a phase-1 envelope's checkouts,
+  // checkins and End-of-DOPs ([Prepare, ops...] with no Decide) through
+  // these methods — reads execute immediately (with undo records), while
   // state-changing operations are validated, answered, and *staged* —
   // and a later [Decide] envelope applies or discards the stage. The
   // ledger lives in server memory (sliced per txn partition); a stage
@@ -198,11 +194,6 @@ class ServerTm {
   // the yes-vote, every other stage stays volatile — a crash wipes it,
   // which is the presumed-abort outcome.
 
-  /// Phase-1 Begin-of-DOP (participant enlistment): executes
-  /// immediately and survives either decision — registrations are
-  /// enlistment, not data, and the client records the participant on
-  /// this reply, so both sides must agree whatever the outcome.
-  Status PrepareBeginDop(TxnId txn, DopId dop, DaId da);
   /// Phase-1 checkout: executes immediately (reads are safe to serve
   /// before the decision); a derivation lock acquired here is released
   /// again by Decide(abort).
@@ -351,22 +342,15 @@ class ServerTm {
     mutable PartitionCounters counters;
   };
 
-  /// Dispatcher<->executor handoff of one per-DOV checkout step.
-  struct CheckoutStep {
-    Status status;
-    std::optional<storage::DovRecord> record;
-    bool lock_acquired = false;
-  };
-
   size_t DopPart(DopId dop) const { return DopPartitionOf(dop, engine_.count()); }
   size_t DovPart(DovId dov) const { return DovPartitionOf(dov, engine_.count()); }
   size_t TxnPart(TxnId txn) const { return TxnPartitionOf(txn, engine_.count()); }
 
-  /// DA of `dop`, or the typed failure: kUnknownDop if a crash wiped
-  /// the registration, kNotFound if it never existed. Routes to the
-  /// owning partition.
-  Result<DaId> LookupDop(DopId dop) const;
-  /// The partition-resident body of LookupDop (runs on the owner).
+  /// Execute over the single op `op`.
+  ServerReply RunOne(ServerRequest op);
+
+  /// The partition-resident body of a registration lookup (runs on the
+  /// owner; see DaOfDop).
   Result<DaId> LookupDopIn(const Partition& part, DopId dop) const;
 
   /// kWrongShard when a sharded plane's placement says `da` is homed
@@ -375,22 +359,30 @@ class ServerTm {
   Status CheckOwnsDa(const Partition& part, DaId da) const;
 
   /// The executor-resident tail of a checkout: derivation-lock
-  /// compatibility test, optional acquisition, repository read.
-  /// Expects the short lock already taken by the dispatcher prologue.
-  CheckoutStep CheckoutStepIn(size_t pv, DovId dov, DaId da,
-                              bool take_derivation_lock);
-  /// Dispatcher-side epilogue of a lock-taking checkout: records the
-  /// held lock in the DOP's partition (for release at End-of-DOP).
-  void RecordHeldLock(DopId dop, DovId dov);
+  /// compatibility test, optional acquisition, repository read into
+  /// `reply`. Expects the short lock already taken by the dispatcher.
+  /// Returns whether a derivation lock was acquired (even when the read
+  /// then failed: End-of-DOP must still release it).
+  bool CheckoutStepIn(size_t pv, const CheckoutRequest& checkout, DaId da,
+                      ServerReply* reply);
+  /// Records `dov`'s derivation lock as held by `dop` (released at
+  /// End-of-DOP). Runs on the DOP's partition.
+  void RecordHeldLockIn(Partition& part, DopId dop, DovId dov);
 
   /// Publishes the derivation-lock invalidation push for `dov`
-  /// acquired by `da` (see the long rationale in Checkout). Dispatcher
-  /// thread only — the bus fans out over the network.
+  /// acquired by `da`. Dispatcher thread only — the bus fans out over
+  /// the network.
   void PublishDerivationLock(DovId dov, DaId da);
 
-  /// Commits a fully-built, already-validated record to the repository
-  /// and hands the new DOV to the creating DA's scope — the tail of the
-  /// direct Checkin. One task on the new DOV's partition.
+  /// The record of a checkin's new version, stamped with a fresh DOV id.
+  storage::DovRecord NewRecord(DaId da, DopId dop,
+                               storage::DesignObject object,
+                               const std::vector<DovId>& predecessors,
+                               SimTime created_at);
+
+  /// Commits a fully-built record to the repository and hands the new
+  /// DOV to the creating DA's scope — the tail of an executor checkin.
+  /// One task on the new DOV's partition.
   Status ApplyCheckin(storage::DovRecord record);
 
   /// Decide(commit)'s apply: ONE repository transaction writes every
@@ -404,7 +396,7 @@ class ServerTm {
                              std::vector<storage::DovRecord> records,
                              bool erase_ledger);
 
-  /// The partition-resident body of BeginDop (runs on the owner).
+  /// The partition-resident body of Begin-of-DOP (runs on the owner).
   Status BeginDopIn(Partition& part, DopId dop, DaId da);
 
   /// The partition-resident head of End-of-DOP: deregisters `dop` and
@@ -412,10 +404,6 @@ class ServerTm {
   /// release fan-out.
   Status FinishExtractIn(Partition& part, DopId dop, DaId* da,
                          std::vector<DovId>* held);
-
-  /// Shared End-of-DOP path: deregisters `dop` on its partition, then
-  /// fans the derivation-lock releases out to the owning partitions.
-  Status FinishDop(DopId dop, bool committed);
 
   /// Releases `locks` grouped per owning partition, one task each, and
   /// waits for all of them.

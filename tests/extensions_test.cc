@@ -6,10 +6,11 @@
 
 #include "cooperation/cooperation_manager.h"
 #include "rpc/network.h"
+#include "rpc/transactional_rpc.h"
 #include "storage/repository.h"
 #include "txn/client_tm.h"
-#include "txn/local_server_service.h"
 #include "txn/lock_manager.h"
+#include "txn/remote_server_stub.h"
 #include "txn/server_tm.h"
 
 namespace concord {
@@ -19,7 +20,7 @@ namespace {
 
 class HandoverTest : public ::testing::Test {
  protected:
-  HandoverTest() : network_(&clock_, 1), repo_(&clock_) {
+  HandoverTest() : network_(&clock_, 1), rpc_(&network_), repo_(&clock_) {
     server_node_ = network_.AddNode("server");
     ws_ = network_.AddNode("ws1");
     auto* type = repo_.schema().DefineType("thing");
@@ -27,8 +28,9 @@ class HandoverTest : public ::testing::Test {
     dot_ = type->id();
     server_ = std::make_unique<txn::ServerTm>(&repo_, &network_,
                                               server_node_, &scope_);
-    service_ = std::make_unique<txn::LocalServerService>(server_.get(),
-                                                         &network_, ws_);
+    txn::RegisterServerService(server_.get(), &rpc_);
+    service_ =
+        std::make_unique<txn::RemoteServerStub>(&rpc_, ws_, server_node_);
     client_ = std::make_unique<txn::ClientTm>(service_.get(), &network_, ws_,
                                               &clock_);
   }
@@ -41,13 +43,14 @@ class HandoverTest : public ::testing::Test {
 
   SimClock clock_;
   rpc::Network network_;
+  rpc::TransactionalRpc rpc_;
   storage::Repository repo_;
   txn::PermissiveScopeAuthority scope_;
   NodeId server_node_;
   NodeId ws_;
   DotId dot_;
   std::unique_ptr<txn::ServerTm> server_;
-  std::unique_ptr<txn::LocalServerService> service_;
+  std::unique_ptr<txn::RemoteServerStub> service_;
   std::unique_ptr<txn::ClientTm> client_;
 };
 

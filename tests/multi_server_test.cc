@@ -319,7 +319,7 @@ TEST(MultiServerPlaneTest, DecideAbortUndoesPhaseOneSideEffects) {
   ServerTm& tm = *plane.shards[0].tm;
 
   TxnId txn(991);
-  ASSERT_TRUE(tm.PrepareBeginDop(txn, DopId(501), da).ok());
+  ASSERT_TRUE(tm.BeginDop(DopId(501), da).ok());
   auto record = tm.PrepareCheckout(txn, DopId(501), input,
                                    /*take_derivation_lock=*/true);
   ASSERT_TRUE(record.ok());
@@ -350,7 +350,7 @@ TEST(MultiServerPlaneTest, ServerCrashWipesPreparedLedger) {
   ASSERT_TRUE(plane.placement.Assign(da, plane.shards[0].node).ok());
   ServerTm& tm = *plane.shards[0].tm;
   TxnId txn(992);
-  ASSERT_TRUE(tm.PrepareBeginDop(txn, DopId(502), da).ok());
+  ASSERT_TRUE(tm.BeginDop(DopId(502), da).ok());
   auto staged =
       tm.PrepareCheckin(txn, DopId(502), plane.MakeObject(1), {}, 0);
   ASSERT_TRUE(staged.ok());
@@ -377,7 +377,7 @@ TEST(MultiServerPlaneTest, DecideDuringCrashWipeIsRefusedUntilRecovery) {
   ASSERT_TRUE(plane.placement.Assign(da, plane.shards[0].node).ok());
   ServerTm& tm = *plane.shards[0].tm;
   TxnId txn(993);
-  ASSERT_TRUE(tm.PrepareBeginDop(txn, DopId(503), da).ok());
+  ASSERT_TRUE(tm.BeginDop(DopId(503), da).ok());
   auto staged =
       tm.PrepareCheckin(txn, DopId(503), plane.MakeObject(9), {}, 0);
   ASSERT_TRUE(staged.ok());
@@ -653,10 +653,18 @@ TEST(MultiServerPlaneTest, WrongShardCheckinIsTyped) {
   // Direct single-op call against the wrong node's service.
   RemoteServerStub stub(&plane.rpc, plane.clients[0]->node(),
                         plane.shards[0].node);
-  ASSERT_TRUE(stub.BeginDop(DopId(601), da).ok());
-  auto dov = stub.Checkin(DopId(601), plane.MakeObject(1), {}, 0);
-  ASSERT_FALSE(dov.ok());
-  EXPECT_TRUE(dov.status().IsWrongShard()) << dov.status().ToString();
+  BatchRequest begin;
+  begin.ops.emplace_back(BeginDopRequest{DopId(601), da});
+  auto begun = stub.Execute(begin);
+  ASSERT_TRUE(begun.ok() && begun->ops.front().status.ok());
+  BatchRequest checkin;
+  checkin.ops.emplace_back(
+      CheckinRequest{DopId(601), plane.MakeObject(1), {}, 0});
+  auto dov = stub.Execute(checkin);
+  ASSERT_TRUE(dov.ok());
+  const Status& status = dov->ops.front().status;
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(status.IsWrongShard()) << status.ToString();
 }
 
 /// Two designer threads, two shards, cross-shard commits racing — the

@@ -428,33 +428,70 @@ TEST_P(PartitionedTmTest, IndependentCheckoutsArePositionalAndCountPipelining) {
   DopId dop(5);
   ASSERT_TRUE(server_->BeginDop(dop, DaId(1)).ok());
 
-  std::vector<ServerTm::IndependentOp> ops(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    ops[i].kind = ServerTm::IndependentOp::Kind::kCheckout;
-    ops[i].dop = dop;
-    ops[i].dov = inputs[i];
+  std::vector<ServerRequest> ops;
+  for (DovId input : inputs) {
+    ops.emplace_back(CheckoutRequest{dop, input, false});
   }
-  // Slot 3: unregistered DOP; slot 5: unknown DOV. Results must stay
+  // Slot 3: unregistered DOP; slot 5: unknown DOV. Replies must stay
   // positional around the failures.
-  ops[3].dop = DopId(99);
-  ops[5].dov = DovId(123456);
-  auto results = server_->ExecuteIndependentBatch(ops);
-  ASSERT_EQ(results.size(), ops.size());
-  for (size_t i = 0; i < results.size(); ++i) {
+  std::get<CheckoutRequest>(ops[3]).dop = DopId(99);
+  std::get<CheckoutRequest>(ops[5]).dov = DovId(123456);
+  std::vector<ServerReply> replies(ops.size());
+  server_->Execute(ops, replies);
+  ASSERT_EQ(replies.size(), ops.size());
+  for (size_t i = 0; i < replies.size(); ++i) {
     if (i == 3) {
-      EXPECT_TRUE(results[i].status.IsNotFound());
+      EXPECT_TRUE(replies[i].status.IsNotFound());
     } else if (i == 5) {
-      EXPECT_FALSE(results[i].status.ok());
+      EXPECT_FALSE(replies[i].status.ok());
     } else {
-      ASSERT_TRUE(results[i].status.ok());
-      ASSERT_TRUE(results[i].record.has_value());
-      EXPECT_EQ(results[i].record->id, inputs[i]);
+      ASSERT_TRUE(replies[i].status.ok());
+      auto* body = std::get_if<CheckoutReply>(&replies[i].body);
+      ASSERT_NE(body, nullptr);
+      EXPECT_EQ(body->record.id, inputs[i]);
     }
   }
   ServerTmStats stats = server_->stats();
   EXPECT_EQ(stats.pipelined_batches, 1u);
   EXPECT_EQ(stats.pipelined_ops, ops.size());
   EXPECT_EQ(stats.checkouts, 6u);
+}
+
+TEST_P(PartitionedTmTest, OneCallOrdersBeginCheckoutCheckinAndFinish) {
+  DovId input = Seed(DaId(1), 5);
+  DopId other(21);
+  ASSERT_TRUE(server_->BeginDop(other, DaId(2)).ok());
+
+  DopId dop(20);
+  std::vector<ServerRequest> ops;
+  ops.emplace_back(BeginDopRequest{dop, DaId(1)});
+  ops.emplace_back(CheckoutRequest{dop, input, /*take_derivation_lock=*/true});
+  ops.emplace_back(CommitDopRequest{dop});
+  ops.emplace_back(CheckinRequest{other, MakeObj(7), {input}, clock_.Now()});
+  std::vector<ServerReply> replies(ops.size());
+  server_->Execute(ops, replies);
+  for (const ServerReply& reply : replies) {
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+  }
+  // The begin landed before the lookup: the checkout found its DOP.
+  auto* checkout = std::get_if<CheckoutReply>(&replies[1].body);
+  ASSERT_NE(checkout, nullptr);
+  EXPECT_EQ(checkout->record.id, input);
+  // The lock was recorded before the finish, so the CommitDop released
+  // it: no derivation lock is left, and the DOP is deregistered.
+  EXPECT_FALSE(server_->locks().DerivationHolder(input).valid());
+  EXPECT_TRUE(server_->DaOfDop(dop).status().IsNotFound());
+  // The checkin on the other DOP committed its DOV.
+  auto* checkin = std::get_if<CheckinReply>(&replies[3].body);
+  ASSERT_NE(checkin, nullptr);
+  EXPECT_TRUE(repo_.Contains(checkin->dov));
+  EXPECT_EQ(server_->locks().ScopeOwner(checkin->dov), DaId(2));
+
+  ServerTmStats stats = server_->stats();
+  EXPECT_EQ(stats.dops_committed, 1u);
+  EXPECT_EQ(stats.checkins, 1u);
+  EXPECT_EQ(stats.pipelined_batches, 1u);
+  EXPECT_EQ(stats.pipelined_ops, ops.size());
 }
 
 TEST_P(PartitionedTmTest, IndependentCheckoutEnvelopeTakesPipelinedPath) {

@@ -12,7 +12,6 @@
 #include "storage/repository.h"
 #include "storage/wal_codec.h"
 #include "txn/client_tm.h"
-#include "txn/local_server_service.h"
 #include "txn/remote_server_stub.h"
 #include "txn/server_tm.h"
 
@@ -112,14 +111,15 @@ TEST(ServerServiceCodecTest, DesignObjectPayloadRoundTrips) {
 
 class ServerServiceTest : public ::testing::Test {
  protected:
-  ServerServiceTest() : network_(&clock_, 11), rpc_(&network_), repo_(&clock_) {
+  explicit ServerServiceTest(int partitions = 1)
+      : network_(&clock_, 11), rpc_(&network_), repo_(&clock_) {
     server_node_ = network_.AddNode("server");
     ws_ = network_.AddNode("ws1");
     auto* type = repo_.schema().DefineType("thing");
     type->AddAttr({"value", storage::AttrType::kInt, true, 0.0, 1000.0});
     dot_ = type->id();
     server_ = std::make_unique<ServerTm>(&repo_, &network_, server_node_,
-                                         &scope_);
+                                         &scope_, nullptr, partitions);
     RegisterServerService(server_.get(), &rpc_);
     stub_ = std::make_unique<RemoteServerStub>(&rpc_, ws_, server_node_);
     client_ = std::make_unique<ClientTm>(stub_.get(), &network_, ws_, &clock_);
@@ -129,6 +129,16 @@ class ServerServiceTest : public ::testing::Test {
     storage::DesignObject obj(dot_);
     obj.SetAttr("value", value);
     return obj;
+  }
+
+  /// Ships `op` as a one-request envelope and returns its reply.
+  ServerReply SendOne(ServerRequest op) {
+    BatchRequest batch;
+    batch.ops.push_back(std::move(op));
+    auto reply = stub_->Execute(batch);
+    if (!reply.ok()) return ServerReply{reply.status(), AckReply{}};
+    EXPECT_EQ(reply->ops.size(), 1u);
+    return std::move(reply->ops.front());
   }
 
   DovId Seed(DaId da, int64_t value) {
@@ -159,26 +169,31 @@ class ServerServiceTest : public ::testing::Test {
 
 // --- Envelope semantics ---------------------------------------------------
 
-TEST_F(ServerServiceTest, TypedWrappersHitTheServerTm) {
+TEST_F(ServerServiceTest, OneOpEnvelopesHitTheServerTm) {
   DovId input = Seed(DaId(1), 5);
-  ASSERT_TRUE(stub_->BeginDop(DopId(100), DaId(1)).ok());
-  auto record = stub_->Checkout(DopId(100), input);
-  ASSERT_TRUE(record.ok());
-  EXPECT_EQ(record->data.GetAttr("value")->as_int(), 5);
-  auto dov = stub_->Checkin(DopId(100), MakeObj(6), {input}, clock_.Now());
-  ASSERT_TRUE(dov.ok());
-  EXPECT_EQ(*stub_->DaOfDop(DopId(100)), DaId(1));
-  auto vote = stub_->Prepare(TxnId(1));
-  ASSERT_TRUE(vote.ok());
-  EXPECT_TRUE(*vote);
-  EXPECT_TRUE(stub_->CommitDop(DopId(100)).ok());
+  ASSERT_TRUE(SendOne(BeginDopRequest{DopId(100), DaId(1)}).status.ok());
+  ServerReply record = SendOne(CheckoutRequest{DopId(100), input});
+  ASSERT_TRUE(record.status.ok());
+  EXPECT_EQ(std::get<CheckoutReply>(record.body)
+                .record.data.GetAttr("value")
+                ->as_int(),
+            5);
+  ServerReply dov =
+      SendOne(CheckinRequest{DopId(100), MakeObj(6), {input}, clock_.Now()});
+  ASSERT_TRUE(dov.status.ok());
+  EXPECT_EQ(std::get<DaOfDopReply>(SendOne(DaOfDopRequest{DopId(100)}).body).da,
+            DaId(1));
+  ServerReply vote = SendOne(PrepareRequest{TxnId(1)});
+  ASSERT_TRUE(vote.status.ok());
+  EXPECT_TRUE(std::get<PrepareReply>(vote.body).vote);
+  EXPECT_TRUE(SendOne(CommitDopRequest{DopId(100)}).status.ok());
   EXPECT_EQ(server_->stats().checkins, 1u);
-  // Every wrapper call was one countable RPC envelope.
+  // Every one-op envelope was one countable RPC envelope.
   EXPECT_EQ(rpc_.stats().calls, 6u);
 }
 
 TEST_F(ServerServiceTest, BatchSkipsDataOpsAfterFailure) {
-  ASSERT_TRUE(stub_->BeginDop(DopId(100), DaId(1)).ok());
+  ASSERT_TRUE(SendOne(BeginDopRequest{DopId(100), DaId(1)}).status.ok());
   BatchRequest batch;
   batch.ops.emplace_back(PrepareRequest{TxnId(1)});
   // Violates the attribute bound -> checkin failure.
@@ -193,7 +208,7 @@ TEST_F(ServerServiceTest, BatchSkipsDataOpsAfterFailure) {
   EXPECT_TRUE(reply->ops[2].status.IsAborted());
   EXPECT_TRUE(reply->ops[3].status.ok());  // control leg always answers
   EXPECT_EQ(server_->stats().dops_committed, 0u);
-  EXPECT_TRUE(stub_->DaOfDop(DopId(100)).ok());
+  EXPECT_TRUE(SendOne(DaOfDopRequest{DopId(100)}).status.ok());
 }
 
 TEST_F(ServerServiceTest, ClientTmTrafficIsVisibleInRpcStats) {
@@ -354,7 +369,18 @@ TEST_F(ServerServiceTest, ServerCrashFailsFastAndTypedStatusAfterRecovery) {
   EXPECT_TRUE(client_->CheckinCommit(*fresh, MakeObj(6), {input}).ok());
 }
 
-TEST_F(ServerServiceTest, RecoveryWarmupRevalidatesInOneRoundTrip) {
+// The workstation-recovery warm-up is the one multi-op independent
+// envelope production sends; it runs at K = 1 and K = 4 partitions.
+class ServerServiceWarmupTest : public ServerServiceTest,
+                                public ::testing::WithParamInterface<int> {
+ protected:
+  ServerServiceWarmupTest() : ServerServiceTest(GetParam()) {}
+};
+
+INSTANTIATE_TEST_SUITE_P(Partitions, ServerServiceWarmupTest,
+                         ::testing::Values(1, 4));
+
+TEST_P(ServerServiceWarmupTest, RecoveryWarmupRevalidatesInOneRoundTrip) {
   DovId a = Seed(DaId(1), 1);
   DovId b = Seed(DaId(1), 2);
   auto dop = client_->BeginDop(DaId(1));
@@ -366,12 +392,14 @@ TEST_F(ServerServiceTest, RecoveryWarmupRevalidatesInOneRoundTrip) {
   ASSERT_TRUE(client_->Recover().ok());
   // Both inputs revalidated with ONE BatchRequest envelope.
   EXPECT_EQ(rpc_.stats().calls, calls_before + 1);
+  // ... and that envelope ran as one executor call.
+  EXPECT_EQ(server_->stats().pipelined_batches, 1u);
   EXPECT_EQ(client_->stats().recovery_warmup_checkouts, 2u);
   EXPECT_TRUE(client_->cache().Contains(a));
   EXPECT_TRUE(client_->cache().Contains(b));
 }
 
-TEST_F(ServerServiceTest, WarmupIsIndependentAcrossInputs) {
+TEST_P(ServerServiceWarmupTest, WarmupIsIndependentAcrossInputs) {
   // The warm-up batch runs its checkouts independently: one input that
   // became invisible during the outage must not keep the rest cold
   // (the dependent-chain skip rule is for checkin+commit, not here).

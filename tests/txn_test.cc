@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "rpc/network.h"
+#include "rpc/transactional_rpc.h"
 #include "storage/repository.h"
 #include "txn/client_tm.h"
-#include "txn/local_server_service.h"
 #include "txn/lock_manager.h"
+#include "txn/remote_server_stub.h"
 #include "txn/server_tm.h"
 
 namespace concord::txn {
@@ -94,14 +95,15 @@ class TmTest : public ::testing::Test {
  protected:
   TmTest()
       : network_(&clock_, 1),
+        rpc_(&network_),
         repo_(&clock_) {
     server_node_ = network_.AddNode("server");
     ws_ = network_.AddNode("ws1");
     DesignObjectTypeSetup();
     server_ = std::make_unique<ServerTm>(&repo_, &network_, server_node_,
                                          &scope_);
-    service_ = std::make_unique<LocalServerService>(server_.get(), &network_,
-                                                    ws_);
+    RegisterServerService(server_.get(), &rpc_);
+    service_ = std::make_unique<RemoteServerStub>(&rpc_, ws_, server_node_);
     client_ = std::make_unique<ClientTm>(service_.get(), &network_, ws_,
                                          &clock_);
   }
@@ -134,13 +136,14 @@ class TmTest : public ::testing::Test {
 
   SimClock clock_;
   rpc::Network network_;
+  rpc::TransactionalRpc rpc_;
   storage::Repository repo_;
   PermissiveScopeAuthority scope_;
   NodeId server_node_;
   NodeId ws_;
   DotId dot_;
   std::unique_ptr<ServerTm> server_;
-  std::unique_ptr<LocalServerService> service_;
+  std::unique_ptr<RemoteServerStub> service_;
   std::unique_ptr<ClientTm> client_;
 };
 
@@ -339,7 +342,9 @@ TEST_F(TmTest, ScopeAuthorityDenialBlocksCheckout) {
   };
   DenyAll deny;
   ServerTm strict(&repo_, &network_, server_node_, &deny);
-  LocalServerService strict_service(&strict, &network_, ws_);
+  rpc::TransactionalRpc strict_rpc(&network_);
+  RegisterServerService(&strict, &strict_rpc);
+  RemoteServerStub strict_service(&strict_rpc, ws_, server_node_);
   ClientTm client(&strict_service, &network_, ws_, &clock_);
   DovId dov = Seed(DaId(1), 5);
   auto dop = client.BeginDop(DaId(1));
