@@ -1,97 +1,22 @@
-// Ablation A4 — §6 two-phase-commit optimizations.
+// Ablation A4 — §6 commit processing: co-located managers.
 //
 // The paper closes by noting that commit processing should "exploit the
-// most efficient concepts available": X/OPEN 2PC with its optimization
-// alternatives [SBCM93] for LAN communication, and main-memory
+// most efficient concepts available", among them main-memory
 // communication for co-located managers (DM-TM on the same
-// workstation). This bench measures LAN messages and protocol latency
-// for: full remote 2PC, the read-only optimization, the co-located
-// fast path, and 2PC under message loss.
+// workstation). This bench times a full DOP cycle through the shipped
+// envelope 2PC with the client-TM remote from vs. co-located with the
+// server. The protocol's own round-trip shapes (single-shard
+// degenerate envelope, cross-shard phase 1 + Decide fan-out, and the
+// cross-shard commit under message loss) are measured by
+// bench_multi_server.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "rpc/two_phase_commit.h"
 #include "txn/remote_server_stub.h"
 
-namespace concord::rpc {
+namespace concord {
 namespace {
-
-class Vote : public TwoPcParticipant {
- public:
-  Vote(NodeId node, bool read_only = false)
-      : node_(node), read_only_(read_only) {}
-  NodeId node() const override { return node_; }
-  bool Prepare(TxnId) override { return true; }
-  void Commit(TxnId) override {}
-  void Abort(TxnId) override {}
-  bool IsReadOnly(TxnId) const override { return read_only_; }
-
- private:
-  NodeId node_;
-  bool read_only_;
-};
-
-enum class Mode { kFullRemote, kReadOnlyOpt, kLocalOpt, kLossy };
-
-void BM_Commit_Protocol(benchmark::State& state) {
-  const Mode mode = static_cast<Mode>(state.range(0));
-  SimClock clock;
-  Network network(&clock, 3);
-  NodeId server = network.AddNode("server");
-  NodeId ws1 = network.AddNode("ws1");
-  NodeId ws2 = network.AddNode("ws2");
-  if (mode == Mode::kLossy) network.set_loss_probability(0.1);
-
-  TwoPhaseCommitCoordinator coord(&network, server);
-  coord.set_read_only_optimization(mode == Mode::kReadOnlyOpt);
-  coord.set_local_optimization(mode == Mode::kLocalOpt);
-
-  Vote remote_writer(ws1);
-  Vote remote_reader(ws2, /*read_only=*/true);
-  Vote local_writer(server);
-  std::vector<TwoPcParticipant*> participants;
-  switch (mode) {
-    case Mode::kFullRemote:
-    case Mode::kLossy:
-      participants = {&remote_writer, &remote_reader};
-      break;
-    case Mode::kReadOnlyOpt:
-      participants = {&remote_writer, &remote_reader};
-      break;
-    case Mode::kLocalOpt:
-      participants = {&local_writer};
-      break;
-  }
-
-  uint64_t txn = 0;
-  SimTime t0 = clock.Now();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(coord.Execute(TxnId(++txn), participants));
-  }
-  double protocols = static_cast<double>(coord.stats().protocols_run);
-  state.counters["lan_msgs_per_commit"] =
-      static_cast<double>(coord.stats().messages) / protocols;
-  state.counters["sim_latency_us_per_commit"] =
-      static_cast<double>(clock.Now() - t0) / protocols;
-  state.counters["aborted_frac"] =
-      static_cast<double>(coord.stats().aborted) / protocols;
-  switch (mode) {
-    case Mode::kFullRemote:
-      state.SetLabel("full_remote_2pc");
-      break;
-    case Mode::kReadOnlyOpt:
-      state.SetLabel("read_only_opt");
-      break;
-    case Mode::kLocalOpt:
-      state.SetLabel("local_main_memory");
-      break;
-    case Mode::kLossy:
-      state.SetLabel("lossy_lan_10pct");
-      break;
-  }
-}
-BENCHMARK(BM_Commit_Protocol)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // End-to-end effect on DOP processing: commit-protocol share of a full
 // checkout/checkin cycle, with the workstation remote vs co-located
@@ -99,12 +24,8 @@ BENCHMARK(BM_Commit_Protocol)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 void BM_Commit_DopCycleByPlacement(benchmark::State& state) {
   const bool colocated = state.range(0) != 0;
   core::ConcordSystem system(bench::DefaultConfig());
-  NodeId ws =
+  const NodeId ws =
       colocated ? system.server_node() : system.AddWorkstation("remote");
-  if (colocated) {
-    // Register a client-TM on the server node.
-    ws = system.server_node();
-  }
   // A client TM for the chosen placement, behind its own service stub
   // (co-located stubs pay only intra-node hops, never the LAN).
   txn::RemoteServerStub stub(&system.rpc(), ws, system.server_node());
@@ -129,6 +50,6 @@ void BM_Commit_DopCycleByPlacement(benchmark::State& state) {
 BENCHMARK(BM_Commit_DopCycleByPlacement)->Arg(0)->Arg(1);
 
 }  // namespace
-}  // namespace concord::rpc
+}  // namespace concord
 
 BENCHMARK_MAIN();

@@ -98,14 +98,10 @@ Result<BatchReply> ClientTm::RunCriticalInteraction(TxnId txn,
 
   // Single-participant degenerate case: both 2PC legs ride one
   // envelope — phase-1 vote first, the operations, then the phase-2
-  // decision — one round trip for all three where the raw protocol
-  // paid two round trips plus the call.
-  BatchRequest batch;
-  batch.independent = independent;
-  batch.ops.reserve(ops.size() + 2);
-  batch.ops.emplace_back(PrepareRequest{txn});
-  for (RoutedOp& op : ops) batch.ops.push_back(std::move(op.op));
-  batch.ops.emplace_back(DecideRequest{txn, /*commit=*/true});
+  // decision — one round trip for all three where a separate phase 1
+  // and phase 2 would pay two.
+  BatchRequest batch = ParticipantEnvelope(txn, ops, op_indices.front(),
+                                           independent, /*with_decide=*/true);
 
   auto reply = router_.service(participants.front())->Execute(batch);
   if (!reply.ok()) {
@@ -131,6 +127,19 @@ Result<BatchReply> ClientTm::RunCriticalInteraction(TxnId txn,
   return out;
 }
 
+BatchRequest ClientTm::ParticipantEnvelope(TxnId txn,
+                                           std::vector<RoutedOp>& ops,
+                                           const std::vector<size_t>& indices,
+                                           bool independent, bool with_decide) {
+  BatchRequest batch;
+  batch.independent = independent;
+  batch.ops.reserve(indices.size() + 2);
+  batch.ops.emplace_back(PrepareRequest{txn});
+  for (size_t index : indices) batch.ops.push_back(std::move(ops[index].op));
+  if (with_decide) batch.ops.emplace_back(DecideRequest{txn, /*commit=*/true});
+  return batch;
+}
+
 Result<BatchReply> ClientTm::RunMultiNodeInteraction(
     TxnId txn, const std::vector<NodeId>& participants,
     const std::vector<std::vector<size_t>>& op_indices,
@@ -147,14 +156,8 @@ Result<BatchReply> ClientTm::RunMultiNodeInteraction(
     // only costs its own ops (they stay kUnavailable in the merge).
     bool any_reached = false;
     for (size_t p = 0; p < participants.size(); ++p) {
-      BatchRequest batch;
-      batch.independent = true;
-      batch.ops.reserve(op_indices[p].size() + 2);
-      batch.ops.emplace_back(PrepareRequest{txn});
-      for (size_t index : op_indices[p]) {
-        batch.ops.push_back(std::move(ops[index].op));
-      }
-      batch.ops.emplace_back(DecideRequest{txn, /*commit=*/true});
+      BatchRequest batch = ParticipantEnvelope(
+          txn, ops, op_indices[p], /*independent=*/true, /*with_decide=*/true);
       auto reply = router_.service(participants[p])->Execute(batch);
       two_pc_stats_.messages += 2;
       if (!reply.ok() || reply->ops.size() != batch.ops.size()) continue;
@@ -179,13 +182,9 @@ Result<BatchReply> ClientTm::RunMultiNodeInteraction(
   std::vector<bool> acked(participants.size(), false);
   bool all_acked = true;
   for (size_t p = 0; p < participants.size(); ++p) {
-    BatchRequest batch;
-    batch.independent = false;
-    batch.ops.reserve(op_indices[p].size() + 1);
-    batch.ops.emplace_back(PrepareRequest{txn});
-    for (size_t index : op_indices[p]) {
-      batch.ops.push_back(std::move(ops[index].op));
-    }
+    BatchRequest batch =
+        ParticipantEnvelope(txn, ops, op_indices[p], /*independent=*/false,
+                            /*with_decide=*/false);
     auto reply = router_.service(participants[p])->Execute(batch);
     ++two_pc_stats_.participant_envelopes;
     two_pc_stats_.messages += 2;

@@ -13,13 +13,33 @@
 #include "common/sync.h"
 #include "rpc/invalidation.h"
 #include "rpc/network.h"
-#include "rpc/two_phase_commit.h"
 #include "txn/dop_context.h"
 #include "txn/dov_cache.h"
 #include "txn/server_service.h"
 #include "txn/shard_router.h"
 
 namespace concord::txn {
+
+/// Commit-protocol accounting of one client-TM, the coordinator of the
+/// envelope 2PC every critical interaction runs (Sect. 5.2).
+struct TwoPcStats {
+  uint64_t protocols_run = 0;
+  uint64_t committed = 0;
+  uint64_t aborted = 0;
+  /// LAN hops (request + reply per envelope).
+  uint64_t messages = 0;
+  /// Client-side participant legs, which take the co-located
+  /// main-memory path of Sect. 6 (local hops, no LAN messages).
+  uint64_t local_fast_paths = 0;
+  /// Interactions whose operations spanned more than one server node
+  /// (true multi-participant 2PC: phase-1 envelopes + Decide fan-out),
+  /// vs. the single-node degenerate case that folds both legs into one
+  /// envelope.
+  uint64_t multi_node_protocols = 0;
+  /// Participant envelopes shipped by the multi-node path (phase 1 and
+  /// phase 2 combined) — each is one server round trip.
+  uint64_t participant_envelopes = 0;
+};
 
 struct ClientTmStats {
   /// DOPs this client-TM committed (exactly one per DOP, however many
@@ -215,7 +235,7 @@ class ClientTm {
     RecursiveMutexLock lock(&mu_);
     return stats_;
   }
-  rpc::TwoPcStats two_pc_stats() const {
+  TwoPcStats two_pc_stats() const {
     RecursiveMutexLock lock(&mu_);
     return two_pc_stats_;
   }
@@ -262,6 +282,14 @@ class ClientTm {
                                             std::vector<RoutedOp> ops,
                                             bool independent = false)
       REQUIRES(mu_);
+  /// One participant's envelope carrying `ops[indices...]` (moved
+  /// out), in order: [Prepare, ops...] — phase 1 of a multi-participant
+  /// 2PC — or, `with_decide`, the degenerate [Prepare, ops...,
+  /// Decide(commit)] in which both legs ride one round trip.
+  static BatchRequest ParticipantEnvelope(TxnId txn,
+                                          std::vector<RoutedOp>& ops,
+                                          const std::vector<size_t>& indices,
+                                          bool independent, bool with_decide);
   /// The multi-participant leg of RunCriticalInteraction.
   Result<BatchReply> RunMultiNodeInteraction(
       TxnId txn, const std::vector<NodeId>& participants,
@@ -322,7 +350,7 @@ class ClientTm {
   ClientTmStats stats_ GUARDED_BY(mu_);
   /// Per-interaction commit-protocol accounting (the protocol itself
   /// rides the service envelope).
-  rpc::TwoPcStats two_pc_stats_ GUARDED_BY(mu_);
+  TwoPcStats two_pc_stats_ GUARDED_BY(mu_);
 };
 
 }  // namespace concord::txn

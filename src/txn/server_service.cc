@@ -246,57 +246,19 @@ bool DecodeReply(ByteReader* in, ServerReply* reply) {
 
 // --- Server-side dispatch -------------------------------------------------
 
-namespace {
-
-/// Phase-1 form of a data op: a checkout executes now but remembers
-/// its lock for Decide(abort); a checkin or End-of-DOP is validated,
-/// answered and staged in the server-TM's 2PC ledger. Returns false for
-/// the ops that execute directly (Begin-of-DOP, DA-of-DOP).
-bool StageOp(ServerTm& server, TxnId txn, const ServerRequest& op,
-             ServerReply* reply) {
-  if (const auto* checkout = std::get_if<CheckoutRequest>(&op)) {
-    auto record = server.PrepareCheckout(txn, checkout->dop, checkout->dov,
-                                         checkout->take_derivation_lock);
-    if (record.ok()) {
-      reply->body = CheckoutReply{std::move(*record)};
-    } else {
-      reply->status = record.status();
-    }
-  } else if (const auto* checkin = std::get_if<CheckinRequest>(&op)) {
-    auto dov = server.PrepareCheckin(txn, checkin->dop, checkin->object,
-                                     checkin->predecessors,
-                                     checkin->created_at);
-    if (dov.ok()) {
-      reply->body = CheckinReply{*dov};
-    } else {
-      reply->status = dov.status();
-    }
-  } else if (const auto* commit = std::get_if<CommitDopRequest>(&op)) {
-    reply->status =
-        server.PrepareFinish(txn, commit->dop, /*commit_outcome=*/true);
-  } else if (const auto* abort = std::get_if<AbortDopRequest>(&op)) {
-    reply->status =
-        server.PrepareFinish(txn, abort->dop, /*commit_outcome=*/false);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 BatchReply DispatchBatch(ServerTm& server, const BatchRequest& batch) {
   // Envelope shapes:
   //  - [Prepare, ops..., Decide]: the single-participant degenerate
   //    case — both 2PC legs ride one envelope, ops apply directly.
   //  - [Prepare, ops...]: phase 1 of a multi-participant transaction —
-  //    state changes are staged in the ledger (StageOp). Registrations
-  //    are enlistment, not data: they apply immediately and SURVIVE a
-  //    Decide(abort), exactly like the degenerate envelope (where a
-  //    failed checkin skips the commit but leaves the Begin-of-DOP
-  //    standing). The client records the node as a participant on the
-  //    Begin reply, so both sides agree the node is enlisted whatever
-  //    the outcome — End-of-DOP releases the registration either way.
+  //    the ops run as staged executor calls, which stage their state
+  //    changes in the ledger. Registrations are enlistment, not data:
+  //    they apply immediately and SURVIVE a Decide(abort), exactly like
+  //    the degenerate envelope (where a failed checkin skips the commit
+  //    but leaves the Begin-of-DOP standing). The client records the
+  //    node as a participant on the Begin reply, so both sides agree
+  //    the node is enlisted whatever the outcome — End-of-DOP releases
+  //    the registration either way.
   //  - [Decide]: phase 2 — resolves the staged transaction.
   //  - no control ops at all: plain direct execution.
   const PrepareRequest* prepare = nullptr;
@@ -309,15 +271,16 @@ BatchReply DispatchBatch(ServerTm& server, const BatchRequest& batch) {
     }
   }
   const bool phase_one = prepare != nullptr && !has_decide;
+  const TxnId stage = phase_one ? prepare->txn : TxnId();
 
   BatchReply out;
   out.ops.resize(batch.ops.size());
   // An independent envelope's data ops are order-free: one executor
   // call runs them all as partition wavefronts, every executor the
   // envelope touches working its slice at once. The loop below then
-  // only answers the control legs.
-  const bool one_call = batch.independent && !phase_one;
-  if (one_call) server.Execute(batch.ops, out.ops);
+  // only answers the control legs. A dependent envelope runs one op
+  // per call, so a failure can skip the rest.
+  if (batch.independent) server.Execute(batch.ops, out.ops, stage);
   bool failed = false;
   for (size_t i = 0; i < batch.ops.size(); ++i) {
     const ServerRequest& op = batch.ops[i];
@@ -333,13 +296,13 @@ BatchReply DispatchBatch(ServerTm& server, const BatchRequest& batch) {
       // ledger holds nothing — Decide acknowledges trivially. As a
       // standalone phase-2 envelope it resolves the staged txn.
       reply.status = server.Decide(decide->txn, decide->commit);
-    } else if (one_call) {
+    } else if (batch.independent) {
       // Answered by the executor call above.
-    } else if (failed && !batch.independent) {
+    } else if (failed) {
       reply.status = Status::Aborted(
           "skipped: an earlier request in the batch failed");
-    } else if (!phase_one || !StageOp(server, prepare->txn, op, &reply)) {
-      server.Execute({&op, 1}, {&reply, 1});
+    } else {
+      server.Execute({&op, 1}, {&reply, 1}, stage);
     }
     if (!reply.status.ok()) failed = true;
   }
@@ -350,7 +313,7 @@ BatchReply DispatchBatch(ServerTm& server, const BatchRequest& batch) {
   // then aborts). Skipped when an op already failed — the coordinator
   // cannot commit such a transaction.
   if (phase_one && !failed) {
-    Status persisted = server.PersistPrepared(prepare->txn);
+    Status persisted = server.PersistPrepared(stage);
     if (!persisted.ok()) {
       for (size_t i = 0; i < batch.ops.size(); ++i) {
         if (std::holds_alternative<PrepareRequest>(batch.ops[i])) {

@@ -179,9 +179,10 @@ class ServerService {
 /// One loop serves every envelope shape. An independent envelope's data
 /// ops go to ServerTm::Execute in one call; a dependent envelope's go
 /// one op per call, so the skip-after-failure rule documented on
-/// BatchRequest holds; a phase-1 envelope ([Prepare, ops...] with no
-/// Decide) stages its state changes through the server-TM's Prepare*
-/// family and persists the stage before the yes-vote.
+/// BatchRequest holds. A phase-1 envelope ([Prepare, ops...] with no
+/// Decide) makes those calls staged ones, which stage its state changes
+/// in the server-TM's 2PC ledger, and persists the stage before the
+/// yes-vote.
 BatchReply DispatchBatch(ServerTm& server, const BatchRequest& batch);
 
 // --- Wire codec (common/serde framing) ------------------------------------

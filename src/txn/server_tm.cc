@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -194,7 +195,7 @@ void ServerTm::RecordHeldLockIn(Partition& part, DopId dop, DovId dov) {
 }
 
 void ServerTm::Execute(std::span<const ServerRequest> ops,
-                       std::span<ServerReply> replies) {
+                       std::span<ServerReply> replies, TxnId stage) {
   // Choreography: runs wavefronts and waits on them — doing that from
   // an executor would deadlock the mailbox.
   CONCORD_ASSERT_OFF_EXECUTOR();
@@ -222,6 +223,9 @@ void ServerTm::Execute(std::span<const ServerRequest> ops,
   OpState single;
   std::vector<OpState> many(n > 1 ? n : 0);
   OpState* state = n > 1 ? many.data() : &single;
+  /// Phase-1 pieces for `stage`'s ledger entry, appended at the end.
+  const bool staging = stage.valid();
+  PreparedTxn staged;
 
   /// The ops of `mask` kinds that no earlier step has failed.
   auto live = [&](uint32_t mask) {
@@ -281,9 +285,13 @@ void ServerTm::Execute(std::span<const ServerRequest> ops,
     });
   }
 
-  // Step 2 — registration lookups, one task per DOP partition.
-  if (kinds & (kCheckout | kCheckin | kDaOfDop)) {
-    wavefront(live(kCheckout | kCheckin | kDaOfDop), dop_part, [&](size_t i) {
+  // Step 2 — registration lookups, one task per DOP partition. A staged
+  // End-of-DOP is validated here, so its reply carries the typed
+  // failure (kUnknownDop after a crash, kNotFound for a stranger).
+  const uint32_t looked_up =
+      kCheckout | kCheckin | kDaOfDop | (staging ? kFinish : 0);
+  if (kinds & looked_up) {
+    wavefront(live(looked_up), dop_part, [&](size_t i) {
       DopId dop = DopOf(ops[i]);
       auto da = LookupDopIn(*parts_[DopPart(dop)], dop);
       if (!da.ok()) {
@@ -349,24 +357,47 @@ void ServerTm::Execute(std::span<const ServerRequest> ops,
                        checkout.dov);
     });
     for (size_t i = 0; i < n; ++i) {
-      if (locked(i)) {
-        PublishDerivationLock(std::get<CheckoutRequest>(ops[i]).dov,
-                              state[i].da);
+      if (!locked(i)) continue;
+      DovId dov = std::get<CheckoutRequest>(ops[i]).dov;
+      PublishDerivationLock(dov, state[i].da);
+      // Decide(abort) releases a phase-1 checkout's lock again.
+      if (staging && replies[i].status.ok()) {
+        staged.acquired_locks.emplace_back(dov, state[i].da);
       }
     }
   }
 
   // Step 4 — checkins, in envelope order: each is its own repository
-  // transaction on the new DOV's partition.
+  // transaction on the new DOV's partition. A staged checkin runs the
+  // integrity test now — the vote must be honest — but publishes
+  // nothing: the record reaches the repository only at Decide(commit).
+  // The check is deterministic (the schema is fixed at design start),
+  // so a staged checkin cannot fail integrity at apply time.
   if (kinds & kCheckin) {
     auto checkin_live = live(kCheckin);
     for (size_t i = 0; i < n; ++i) {
       if (!checkin_live(i)) continue;
       const auto& checkin = std::get<CheckinRequest>(ops[i]);
+      if (staging) {
+        Status integrity = repository_->schema().Validate(checkin.object);
+        if (!integrity.ok()) {
+          ++parts_[dop_part(i)]->counters.checkin_failures;
+          CONCORD_INFO("server-tm", "staged checkin integrity failure for "
+                                        << checkin.dop.ToString() << ": "
+                                        << integrity.ToString());
+          replies[i].status = std::move(integrity);
+          continue;
+        }
+      }
       storage::DovRecord record =
           NewRecord(state[i].da, checkin.dop, checkin.object,
                     checkin.predecessors, checkin.created_at);
       DovId new_id = record.id;
+      if (staging) {
+        staged.staged_checkins.push_back(std::move(record));
+        replies[i].body = CheckinReply{new_id};
+        continue;
+      }
       if (DopPart(checkin.dop) != DovPart(new_id)) {
         ++parts_[DovPart(new_id)]->counters.cross_partition_ops;
       }
@@ -379,8 +410,17 @@ void ServerTm::Execute(std::span<const ServerRequest> ops,
   // DOP's derivation locks ("the server-TM is firstly asked to release
   // the derivation locks held", Sect. 5.2). The extractions run on the
   // DOPs' partitions; the releases then fan out per DOV partition in
-  // one combined pass.
-  if (kinds & kFinish) {
+  // one combined pass. A staged End-of-DOP (validated in step 2) only
+  // records its outcome for Decide(commit).
+  if (staging) {
+    auto finished = live(kFinish);
+    for (size_t i = 0; i < n; ++i) {
+      if (finished(i)) {
+        staged.staged_finishes.push_back(
+            {DopOf(ops[i]), std::holds_alternative<CommitDopRequest>(ops[i])});
+      }
+    }
+  } else if (kinds & kFinish) {
     wavefront(live(kFinish), dop_part, [&](size_t i) {
       DopId dop = DopOf(ops[i]);
       replies[i].status = FinishExtractIn(*parts_[DopPart(dop)], dop,
@@ -400,6 +440,24 @@ void ServerTm::Execute(std::span<const ServerRequest> ops,
     }
     ReleaseDerivationLocks(releases);
   }
+
+  // The staged pieces join the txn's ledger entry in one task.
+  if (staged.staged_checkins.empty() && staged.staged_finishes.empty() &&
+      staged.acquired_locks.empty()) {
+    return;
+  }
+  auto append = [](auto& to, auto& from) {
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+  };
+  Partition& tpart = *parts_[TxnPart(stage)];
+  engine_.Run(TxnPart(stage), [&] {
+    MutexLock lock(&tpart.mu);
+    PreparedTxn& entry = tpart.prepared[stage];
+    append(entry.staged_checkins, staged.staged_checkins);
+    append(entry.staged_finishes, staged.staged_finishes);
+    append(entry.acquired_locks, staged.acquired_locks);
+  });
 }
 
 ServerReply ServerTm::RunOne(ServerRequest op) {
@@ -556,68 +614,6 @@ void ServerTm::ReleaseDerivationLocks(
 }
 
 // --- Cross-shard 2PC ledger ------------------------------------------------
-
-Result<storage::DovRecord> ServerTm::PrepareCheckout(
-    TxnId txn, DopId dop, DovId dov, bool take_derivation_lock) {
-  auto record = Checkout(dop, dov, take_derivation_lock);
-  if (record.ok() && take_derivation_lock) {
-    auto da = DaOfDop(dop);
-    if (da.ok()) {
-      size_t pt = TxnPart(txn);
-      Partition& tpart = *parts_[pt];
-      engine_.Run(pt, [&] {
-        MutexLock lock(&tpart.mu);
-        tpart.prepared[txn].acquired_locks.emplace_back(dov, *da);
-      });
-    }
-  }
-  return record;
-}
-
-Result<DovId> ServerTm::PrepareCheckin(TxnId txn, DopId dop,
-                                       storage::DesignObject object,
-                                       const std::vector<DovId>& predecessors,
-                                       SimTime created_at) {
-  CONCORD_ASSIGN_OR_RETURN(DaId da, DaOfDop(dop));
-  Partition& dpart = *parts_[DopPart(dop)];
-  CONCORD_RETURN_NOT_OK(CheckOwnsDa(dpart, da));
-  // Run the integrity test now — the vote must be honest — but publish
-  // nothing: the record reaches the repository only at Decide(commit).
-  // The check is deterministic (the schema is fixed at design start),
-  // so a prepared checkin cannot fail integrity at apply time.
-  Status integrity = repository_->schema().Validate(object);
-  if (!integrity.ok()) {
-    ++dpart.counters.checkin_failures;
-    CONCORD_INFO("server-tm", "prepare-checkin integrity failure for "
-                                  << dop.ToString() << ": "
-                                  << integrity.ToString());
-    return integrity;
-  }
-  storage::DovRecord record =
-      NewRecord(da, dop, std::move(object), predecessors, created_at);
-  DovId new_id = record.id;
-  size_t pt = TxnPart(txn);
-  Partition& tpart = *parts_[pt];
-  engine_.Run(pt, [&] {
-    MutexLock lock(&tpart.mu);
-    tpart.prepared[txn].staged_checkins.push_back(std::move(record));
-  });
-  return new_id;
-}
-
-Status ServerTm::PrepareFinish(TxnId txn, DopId dop, bool commit_outcome) {
-  // Validate now so the reply carries the typed registration failure
-  // (kUnknownDop after a crash, kNotFound for a stranger) before the
-  // coordinator decides; the actual release happens at Decide(commit).
-  CONCORD_RETURN_NOT_OK(DaOfDop(dop).status());
-  size_t pt = TxnPart(txn);
-  Partition& tpart = *parts_[pt];
-  return engine_.Run(pt, [&]() -> Status {
-    MutexLock lock(&tpart.mu);
-    tpart.prepared[txn].staged_finishes.push_back({dop, commit_outcome});
-    return Status::OK();
-  });
-}
 
 Status ServerTm::Decide(TxnId txn, bool commit) {
   size_t pt = TxnPart(txn);
@@ -954,7 +950,7 @@ Status ServerTm::Recover() {
   // must not accept traffic.
   CONCORD_RETURN_NOT_OK(repository_->Recover());
   // Persisted phase-1 stages survive the crash; volatile-only stages
-  // (direct Prepare* callers) stay presumed-abort.
+  // (direct staged Execute callers) stay presumed-abort.
   RestagePreparedFromStable();
   crash_wipe_pending_.store(false, std::memory_order_release);
   network_->SetNodeUp(node_, true);

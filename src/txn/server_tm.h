@@ -15,7 +15,6 @@
 #include "common/sync.h"
 #include "rpc/invalidation.h"
 #include "rpc/network.h"
-#include "rpc/two_phase_commit.h"
 #include "storage/repository.h"
 #include "txn/lock_manager.h"
 #include "txn/partition.h"
@@ -144,11 +143,20 @@ class ServerTm {
   /// End-of-DOP in the same call releases it. A one-op call runs the
   /// same partition tasks the op alone needs, and an op set on one
   /// partition runs each step as a single Run.
+  ///
+  /// A valid `stage` makes the call phase 1 of that cross-shard 2PC
+  /// transaction (see the ledger section below). Begin-of-DOP, DA-of-DOP
+  /// and checkouts run as above; a checkout that took a derivation lock
+  /// also records it for Decide(abort) to release. A checkin passes its
+  /// lookup, placement check and schema integrity test and is answered
+  /// with its new DOV id, but its record is staged, not applied; an
+  /// End-of-DOP is validated by the step-2 lookup and staged, not
+  /// extracted. Every staged piece reaches the txn's ledger slice in
+  /// ONE task at the end of the call. Nothing is persisted here.
   void Execute(std::span<const ServerRequest> ops,
-               std::span<ServerReply> replies);
+               std::span<ServerReply> replies, TxnId stage = TxnId());
 
-  /// Single-op forms of Execute, for the Prepare* family, Decide,
-  /// tests and benches.
+  /// Single-op forms of Execute, for Decide, tests and benches.
   ///
   /// Registers a new DOP for DA `da`. The server remembers the
   /// association for scope checks and lock release.
@@ -184,31 +192,16 @@ class ServerTm {
   // A critical interaction whose operations span several server nodes
   // cannot ride one degenerate [Prepare, ops, Decide] envelope: each
   // participant must hold its effects until the coordinator has heard
-  // every vote. DispatchBatch routes a phase-1 envelope's checkouts,
-  // checkins and End-of-DOPs ([Prepare, ops...] with no Decide) through
-  // these methods — reads execute immediately (with undo records), while
-  // state-changing operations are validated, answered, and *staged* —
-  // and a later [Decide] envelope applies or discards the stage. The
-  // ledger lives in server memory (sliced per txn partition); a stage
-  // carrying a checkin is also made durable (PersistPrepared) before
-  // the yes-vote, every other stage stays volatile — a crash wipes it,
+  // every vote. DispatchBatch runs a phase-1 envelope's data ops
+  // ([Prepare, ops...] with no Decide) as staged Execute calls — reads
+  // execute immediately (with undo records), while state-changing
+  // operations are validated, answered, and *staged* — and a later
+  // [Decide] envelope applies or discards the stage. The ledger lives
+  // in server memory (sliced per txn partition); a stage carrying a
+  // checkin is also made durable (PersistPrepared) before the
+  // yes-vote, every other stage stays volatile — a crash wipes it,
   // which is the presumed-abort outcome.
 
-  /// Phase-1 checkout: executes immediately (reads are safe to serve
-  /// before the decision); a derivation lock acquired here is released
-  /// again by Decide(abort).
-  Result<storage::DovRecord> PrepareCheckout(TxnId txn, DopId dop, DovId dov,
-                                             bool take_derivation_lock);
-  /// Phase-1 checkin: validates (registration, placement, schema
-  /// integrity), allocates the DOV id, and stages the record. Nothing
-  /// reaches the repository until Decide(commit).
-  Result<DovId> PrepareCheckin(TxnId txn, DopId dop,
-                               storage::DesignObject object,
-                               const std::vector<DovId>& predecessors,
-                               SimTime created_at);
-  /// Phase-1 End-of-DOP: validates the registration and stages the
-  /// lock release / deregistration for Decide(commit).
-  Status PrepareFinish(TxnId txn, DopId dop, bool commit_outcome);
   /// Phase-2: applies (commit) or discards + undoes (abort) the staged
   /// transaction. A commit publishes every staged checkin AND deletes
   /// the durable ledger key in ONE repository transaction (one WAL
@@ -244,8 +237,8 @@ class ServerTm {
   /// and lock-only stages stay volatile — the registrations and
   /// derivation locks they would release die with the process anyway,
   /// and a Decide that finds nothing staged acknowledges (or, during a
-  /// crash wipe, refuses). Direct Prepare* callers that skip this
-  /// call keep presumed-abort crash semantics for every stage.
+  /// crash wipe, refuses). Direct staged Execute callers that skip
+  /// this call keep presumed-abort crash semantics for every stage.
   Status PersistPrepared(TxnId txn);
 
   /// Re-stages persisted phase-1 entries from the repository's meta

@@ -56,6 +56,21 @@ struct Plane : bench::TmEnv {
   }
 };
 
+/// One phase-1 data op as a direct staged executor call: it stages in
+/// `txn`'s ledger entry but, unlike a phase-1 envelope through
+/// DispatchBatch, persists nothing.
+ServerReply Staged(ServerTm& tm, TxnId txn, ServerRequest op) {
+  ServerReply reply;
+  tm.Execute({&op, 1}, {&reply, 1}, txn);
+  return reply;
+}
+
+/// The new DOV id a staged checkin answered with (invalid on failure).
+DovId StagedDov(const ServerReply& reply) {
+  const auto* checkin = std::get_if<CheckinReply>(&reply.body);
+  return checkin == nullptr ? DovId() : checkin->dov;
+}
+
 TEST(MultiServerPlaneTest, DovIdsCarryTheirShard) {
   Plane plane(3);
   DovId s0 = plane.Seed(0, DaId(10), 1);
@@ -109,9 +124,21 @@ TEST(MultiServerPlaneTest, CrossShardCheckinCommitSpansBothShards) {
   ASSERT_TRUE(dop.ok()) << dop.status().ToString();
   // The input lives on shard 0: this checkout enlists the DOP there.
   ASSERT_TRUE(tm.Checkout(*dop, input).ok());
+  uint64_t envelopes_before = tm.two_pc_stats().participant_envelopes;
+  uint64_t calls_before[2] = {plane.rpc.CallsTo(plane.shards[0].node),
+                              plane.rpc.CallsTo(plane.shards[1].node)};
   auto dov = tm.CheckinCommit(*dop, plane.MakeObject(6), {input});
   ASSERT_TRUE(dov.ok()) << dov.status().ToString();
 
+  // Protocol shape: one phase-1 envelope and one Decide per
+  // participant, each a single round trip to its shard.
+  EXPECT_EQ(tm.two_pc_stats().participant_envelopes - envelopes_before, 4u);
+  for (size_t shard = 0; shard < 2; ++shard) {
+    EXPECT_EQ(plane.rpc.CallsTo(plane.shards[shard].node) -
+                  calls_before[shard],
+              2u)
+        << "shard " << shard;
+  }
   // The new DOV was created on the DA's home shard, and the End-of-DOP
   // resolved on every participant (true multi-participant 2PC).
   EXPECT_EQ(DovShardOf(*dov), 1u);
@@ -151,6 +178,28 @@ TEST(MultiServerPlaneTest, CrossShardCheckinFailureAbortsEverywhere) {
   EXPECT_GE(plane.shards[0].tm->stats().txns_decided_abort, 1u);
   auto good = tm.CheckinCommit(*dop, plane.MakeObject(7), {input});
   EXPECT_TRUE(good.ok()) << good.status().ToString();
+}
+
+TEST(MultiServerPlaneTest,
+     CrossShardCheckinCommitAbortsWhenAParticipantIsDown) {
+  Plane plane(2);
+  DaId da(10);
+  ASSERT_TRUE(plane.placement.Assign(da, plane.shards[1].node).ok());
+  DovId input = plane.Seed(0, DaId(21), 5);
+
+  ClientTm& tm = *plane.clients[0];
+  auto dop = tm.BeginDop(da);
+  ASSERT_TRUE(dop.ok());
+  ASSERT_TRUE(tm.Checkout(*dop, input).ok());  // enlists shard 0
+  // Shard 0 dies between enlistment and the commit: its phase-1
+  // envelope cannot be delivered, so the coordinator must abort.
+  plane.CrashNode(0);
+  auto dov = tm.CheckinCommit(*dop, plane.MakeObject(6), {input});
+  EXPECT_FALSE(dov.ok());
+  // The live participant applied nothing, and the abort decision
+  // reached it: no stage is left waiting there.
+  EXPECT_EQ(plane.shards[1].repo->DovsOf(da).size(), 0u);
+  EXPECT_TRUE(plane.shards[1].tm->PreparedTxns().empty());
 }
 
 TEST(MultiServerPlaneTest, CrossShardAtomicityUnder30PercentLoss) {
@@ -312,36 +361,43 @@ TEST(MultiServerPlaneTest, StalePlacementCacheRefreshesOnWrongShard) {
 }
 
 TEST(MultiServerPlaneTest, DecideAbortUndoesPhaseOneSideEffects) {
-  Plane plane(2);
-  DaId da(10);
-  ASSERT_TRUE(plane.placement.Assign(da, plane.shards[0].node).ok());
-  DovId input = plane.Seed(0, da, 5);
-  ServerTm& tm = *plane.shards[0].tm;
+  for (int partitions : {1, 4}) {
+    SCOPED_TRACE("partitions=" + std::to_string(partitions));
+    Plane plane(2, /*workstations=*/1, partitions);
+    DaId da(10);
+    ASSERT_TRUE(plane.placement.Assign(da, plane.shards[0].node).ok());
+    DovId input = plane.Seed(0, da, 5);
+    ServerTm& tm = *plane.shards[0].tm;
 
-  TxnId txn(991);
-  ASSERT_TRUE(tm.BeginDop(DopId(501), da).ok());
-  auto record = tm.PrepareCheckout(txn, DopId(501), input,
-                                   /*take_derivation_lock=*/true);
-  ASSERT_TRUE(record.ok());
-  EXPECT_EQ(tm.locks().DerivationHolder(input), da);
-  auto staged = tm.PrepareCheckin(txn, DopId(501), plane.MakeObject(6),
-                                  {input}, 0);
-  ASSERT_TRUE(staged.ok());
-  EXPECT_TRUE(tm.HasPrepared(txn));
-  EXPECT_FALSE(plane.shards[0].repo->Contains(*staged));
+    TxnId txn(991);
+    ASSERT_TRUE(tm.BeginDop(DopId(501), da).ok());
+    ServerReply record = Staged(
+        tm, txn, CheckoutRequest{DopId(501), input,
+                                 /*take_derivation_lock=*/true});
+    ASSERT_TRUE(record.status.ok()) << record.status.ToString();
+    EXPECT_TRUE(std::holds_alternative<CheckoutReply>(record.body));
+    EXPECT_EQ(tm.locks().DerivationHolder(input), da);
+    ServerReply checkin = Staged(
+        tm, txn, CheckinRequest{DopId(501), plane.MakeObject(6), {input}, 0});
+    ASSERT_TRUE(checkin.status.ok()) << checkin.status.ToString();
+    DovId staged = StagedDov(checkin);
+    ASSERT_TRUE(staged.valid());
+    EXPECT_TRUE(tm.HasPrepared(txn));
+    EXPECT_FALSE(plane.shards[0].repo->Contains(staged));
 
-  ASSERT_TRUE(tm.Decide(txn, /*commit=*/false).ok());
-  EXPECT_FALSE(tm.HasPrepared(txn));
-  // The staged checkin never reached the repository and the derivation
-  // lock is free again; the registration SURVIVES the abort (it is
-  // enlistment, not data — the client recorded this node as a
-  // participant on the Begin reply, and both sides must keep agreeing
-  // so a retried interaction can still run here).
-  EXPECT_FALSE(plane.shards[0].repo->Contains(*staged));
-  EXPECT_TRUE(tm.DaOfDop(DopId(501)).ok());
-  EXPECT_FALSE(tm.locks().DerivationHolder(input).valid());
-  // A repeated decision is acknowledged idempotently.
-  EXPECT_TRUE(tm.Decide(txn, false).ok());
+    ASSERT_TRUE(tm.Decide(txn, /*commit=*/false).ok());
+    EXPECT_FALSE(tm.HasPrepared(txn));
+    // The staged checkin never reached the repository and the
+    // derivation lock is free again; the registration SURVIVES the
+    // abort (it is enlistment, not data — the client recorded this
+    // node as a participant on the Begin reply, and both sides must
+    // keep agreeing so a retried interaction can still run here).
+    EXPECT_FALSE(plane.shards[0].repo->Contains(staged));
+    EXPECT_TRUE(tm.DaOfDop(DopId(501)).ok());
+    EXPECT_FALSE(tm.locks().DerivationHolder(input).valid());
+    // A repeated decision is acknowledged idempotently.
+    EXPECT_TRUE(tm.Decide(txn, false).ok());
+  }
 }
 
 TEST(MultiServerPlaneTest, ServerCrashWipesPreparedLedger) {
@@ -351,9 +407,11 @@ TEST(MultiServerPlaneTest, ServerCrashWipesPreparedLedger) {
   ServerTm& tm = *plane.shards[0].tm;
   TxnId txn(992);
   ASSERT_TRUE(tm.BeginDop(DopId(502), da).ok());
-  auto staged =
-      tm.PrepareCheckin(txn, DopId(502), plane.MakeObject(1), {}, 0);
-  ASSERT_TRUE(staged.ok());
+  ServerReply checkin =
+      Staged(tm, txn, CheckinRequest{DopId(502), plane.MakeObject(1), {}, 0});
+  ASSERT_TRUE(checkin.status.ok()) << checkin.status.ToString();
+  DovId staged = StagedDov(checkin);
+  ASSERT_TRUE(staged.valid());
   EXPECT_TRUE(tm.HasPrepared(txn));
   plane.CrashNode(0);
   ASSERT_TRUE(tm.Recover().ok());
@@ -361,7 +419,7 @@ TEST(MultiServerPlaneTest, ServerCrashWipesPreparedLedger) {
   // decision is acknowledged but nothing applies.
   EXPECT_FALSE(tm.HasPrepared(txn));
   EXPECT_TRUE(tm.Decide(txn, true).ok());
-  EXPECT_FALSE(plane.shards[0].repo->Contains(*staged));
+  EXPECT_FALSE(plane.shards[0].repo->Contains(staged));
 }
 
 TEST(MultiServerPlaneTest, DecideDuringCrashWipeIsRefusedUntilRecovery) {
@@ -378,21 +436,23 @@ TEST(MultiServerPlaneTest, DecideDuringCrashWipeIsRefusedUntilRecovery) {
   ServerTm& tm = *plane.shards[0].tm;
   TxnId txn(993);
   ASSERT_TRUE(tm.BeginDop(DopId(503), da).ok());
-  auto staged =
-      tm.PrepareCheckin(txn, DopId(503), plane.MakeObject(9), {}, 0);
-  ASSERT_TRUE(staged.ok());
+  ServerReply checkin =
+      Staged(tm, txn, CheckinRequest{DopId(503), plane.MakeObject(9), {}, 0});
+  ASSERT_TRUE(checkin.status.ok()) << checkin.status.ToString();
+  DovId staged = StagedDov(checkin);
+  ASSERT_TRUE(staged.valid());
   ASSERT_TRUE(tm.PersistPrepared(txn).ok());
   plane.CrashNode(0);
   // The wipe beat this decision to the ledger: no ack, no effects.
   Status decide = tm.Decide(txn, /*commit=*/true);
   EXPECT_FALSE(decide.ok());
-  EXPECT_FALSE(plane.shards[0].repo->Contains(*staged));
+  EXPECT_FALSE(plane.shards[0].repo->Contains(staged));
   // Recovery re-stages the persisted entry; the retried decision
   // applies it, and one more retry is the ordinary duplicate ack.
   ASSERT_TRUE(tm.Recover().ok());
   EXPECT_TRUE(tm.HasPrepared(txn));
   EXPECT_TRUE(tm.Decide(txn, true).ok());
-  EXPECT_TRUE(plane.shards[0].repo->Contains(*staged));
+  EXPECT_TRUE(plane.shards[0].repo->Contains(staged));
   EXPECT_TRUE(tm.Decide(txn, true).ok());
 }
 
@@ -501,8 +561,8 @@ bool VotedYes(const ServerReply& reply) {
 /// Phase 1 of the checkin participant of a cross-shard CheckinCommit:
 /// [Prepare, Checkin, CommitDop] for a DOP registered beforehand.
 /// Returns the staged DOV id.
-DovId PrepareCheckinStage(DurableServer& server, TxnId txn, DopId dop,
-                          DaId da, int64_t value) {
+DovId PhaseOneCheckinStage(DurableServer& server, TxnId txn, DopId dop,
+                           DaId da, int64_t value) {
   EXPECT_TRUE(server.tm().BeginDop(dop, da).ok());
   BatchReply reply = server.Dispatch(
       {PrepareRequest{txn},
@@ -556,7 +616,7 @@ TEST(MultiServerPlaneTest, CheckinParticipantDecideIsOneRepositoryTxn) {
   TxnId txn(0x200000001);
   DopId dop(0x200000003);
   DaId da(10);
-  DovId dov = PrepareCheckinStage(server, txn, dop, da, 42);
+  DovId dov = PhaseOneCheckinStage(server, txn, dop, da, 42);
   // Persist-before-vote: the stage is durable, nothing is applied.
   EXPECT_EQ(server.repo().MetaKeysWithPrefix("2pc/"),
             std::vector<std::string>{LedgerKey(txn)});
@@ -593,7 +653,8 @@ TEST(MultiServerPlaneTest, CheckinParticipantDecideIsOneRepositoryTxn) {
 TEST(MultiServerPlaneTest, DecidedCommitSurvivesRestartWithNoLedgerResidue) {
   DurableServer server;
   TxnId txn(0x300000001);
-  DovId dov = PrepareCheckinStage(server, txn, DopId(0x300000005), DaId(10), 7);
+  DovId dov =
+      PhaseOneCheckinStage(server, txn, DopId(0x300000005), DaId(10), 7);
   ASSERT_TRUE(server.tm().Decide(txn, /*commit=*/true).ok());
 
   server.Restart();
@@ -613,12 +674,16 @@ TEST(MultiServerPlaneTest, MultiPartitionStageAppliesInOneRepositoryTxn) {
   DopId dop(0x400000002);
   TxnId txn(0x400000001);
   ASSERT_TRUE(tm.BeginDop(dop, da).ok());
-  auto first = tm.PrepareCheckin(txn, dop, plane.MakeObject(1), {}, 0);
-  auto second = tm.PrepareCheckin(txn, dop, plane.MakeObject(2), {}, 0);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  size_t p_first = DovPartitionOf(*first, 2);
-  size_t p_second = DovPartitionOf(*second, 2);
+  ServerReply first_reply =
+      Staged(tm, txn, CheckinRequest{dop, plane.MakeObject(1), {}, 0});
+  ServerReply second_reply =
+      Staged(tm, txn, CheckinRequest{dop, plane.MakeObject(2), {}, 0});
+  ASSERT_TRUE(first_reply.status.ok()) << first_reply.status.ToString();
+  ASSERT_TRUE(second_reply.status.ok()) << second_reply.status.ToString();
+  const DovId first = StagedDov(first_reply);
+  const DovId second = StagedDov(second_reply);
+  size_t p_first = DovPartitionOf(first, 2);
+  size_t p_second = DovPartitionOf(second, 2);
   ASSERT_NE(p_first, p_second) << "consecutive ids share a partition";
   ASSERT_TRUE(tm.PersistPrepared(txn).ok());
   uint64_t checkins_first = tm.partition_stats(p_first).checkins;
@@ -633,14 +698,14 @@ TEST(MultiServerPlaneTest, MultiPartitionStageAppliesInOneRepositoryTxn) {
   std::vector<storage::WalRecord> last = LastCommittedTxn(repo);
   ASSERT_EQ(last.size(), 5u);
   ASSERT_TRUE(last[1].dov.has_value() && last[2].dov.has_value());
-  EXPECT_EQ(last[1].dov->id, *first);
-  EXPECT_EQ(last[2].dov->id, *second);
+  EXPECT_EQ(last[1].dov->id, first);
+  EXPECT_EQ(last[2].dov->id, second);
   EXPECT_EQ(last[3].type, storage::WalRecord::Type::kDeleteMeta);
-  EXPECT_TRUE(repo.Contains(*first));
-  EXPECT_TRUE(repo.Contains(*second));
+  EXPECT_TRUE(repo.Contains(first));
+  EXPECT_TRUE(repo.Contains(second));
   // Each partition handed its new DOV to the DA's scope and counted it.
-  EXPECT_EQ(tm.locks().ScopeOwner(*first), da);
-  EXPECT_EQ(tm.locks().ScopeOwner(*second), da);
+  EXPECT_EQ(tm.locks().ScopeOwner(first), da);
+  EXPECT_EQ(tm.locks().ScopeOwner(second), da);
   EXPECT_EQ(tm.partition_stats(p_first).checkins, checkins_first + 1);
   EXPECT_EQ(tm.partition_stats(p_second).checkins, checkins_second + 1);
   EXPECT_FALSE(tm.HasPrepared(txn));

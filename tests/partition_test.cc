@@ -395,6 +395,27 @@ TEST_P(PartitionedTmTest, DenialsAndUnknownDopsKeepTheirTypedStatus) {
   EXPECT_TRUE(server_->Checkout(DopId(99), input, false).status().IsNotFound());
   ServerTmStats stats = server_->stats();
   EXPECT_EQ(stats.checkouts_denied_lock, 1u);
+
+  // The staged (phase-1) forms keep the same typed failures and stage
+  // nothing when they fail.
+  auto staged = [&](TxnId txn, ServerRequest op) {
+    ServerReply reply;
+    server_->Execute({&op, 1}, {&reply, 1}, txn);
+    return reply;
+  };
+  TxnId stranger_txn(7);
+  EXPECT_TRUE(staged(stranger_txn, CheckinRequest{DopId(99), MakeObj(1), {}, 0})
+                  .status.IsNotFound());
+  EXPECT_TRUE(
+      staged(stranger_txn, CommitDopRequest{DopId(99)}).status.IsNotFound());
+  EXPECT_FALSE(server_->HasPrepared(stranger_txn));
+  // Integrity failure: "value" is required.
+  TxnId bad_txn(8);
+  ServerReply bad =
+      staged(bad_txn, CheckinRequest{dop, storage::DesignObject(dot_), {}, 0});
+  EXPECT_TRUE(bad.status.IsConstraintViolation()) << bad.status.ToString();
+  EXPECT_EQ(server_->stats().checkin_failures, stats.checkin_failures + 1);
+  EXPECT_FALSE(server_->HasPrepared(bad_txn));
 }
 
 TEST_P(PartitionedTmTest, StatsAggregateExactlyFromPartitionSlices) {

@@ -2,7 +2,6 @@
 
 #include "rpc/network.h"
 #include "rpc/transactional_rpc.h"
-#include "rpc/two_phase_commit.h"
 
 namespace concord::rpc {
 namespace {
@@ -139,120 +138,6 @@ TEST_F(RpcFixture, ClearNodeStateDropsDedup) {
   rpc_.Call(ws_, server_, "y", "").ok();
   rpc_.ClearNodeState(server_);  // simulated crash wipes dedup table
   EXPECT_TRUE(rpc_.Call(ws_, server_, "y", "").ok());
-}
-
-// --- TwoPhaseCommit --------------------------------------------------------
-
-class RecordingParticipant : public TwoPcParticipant {
- public:
-  RecordingParticipant(NodeId node, bool vote, bool read_only = false)
-      : node_(node), vote_(vote), read_only_(read_only) {}
-
-  NodeId node() const override { return node_; }
-  bool Prepare(TxnId) override {
-    ++prepares;
-    return vote_;
-  }
-  void Commit(TxnId) override { ++commits; }
-  void Abort(TxnId) override { ++aborts; }
-  bool IsReadOnly(TxnId) const override { return read_only_; }
-
-  int prepares = 0;
-  int commits = 0;
-  int aborts = 0;
-
- private:
-  NodeId node_;
-  bool vote_;
-  bool read_only_;
-};
-
-class TwoPcTest : public ::testing::Test {
- protected:
-  TwoPcTest() : network_(&clock_, 7) {
-    coord_node_ = network_.AddNode("server");
-    a_node_ = network_.AddNode("a");
-    b_node_ = network_.AddNode("b");
-  }
-  SimClock clock_;
-  Network network_;
-  NodeId coord_node_;
-  NodeId a_node_;
-  NodeId b_node_;
-};
-
-TEST_F(TwoPcTest, AllYesCommits) {
-  TwoPhaseCommitCoordinator coord(&network_, coord_node_);
-  RecordingParticipant a(a_node_, true);
-  RecordingParticipant b(b_node_, true);
-  auto committed = coord.Execute(TxnId(1), {&a, &b});
-  ASSERT_TRUE(committed.ok());
-  EXPECT_TRUE(*committed);
-  EXPECT_EQ(a.commits, 1);
-  EXPECT_EQ(b.commits, 1);
-  EXPECT_EQ(coord.stats().committed, 1u);
-}
-
-TEST_F(TwoPcTest, AnyNoAborts) {
-  TwoPhaseCommitCoordinator coord(&network_, coord_node_);
-  RecordingParticipant a(a_node_, true);
-  RecordingParticipant b(b_node_, false);
-  auto committed = coord.Execute(TxnId(1), {&a, &b});
-  ASSERT_TRUE(committed.ok());
-  EXPECT_FALSE(*committed);
-  EXPECT_EQ(a.aborts, 1);
-  EXPECT_EQ(b.aborts, 1);
-  EXPECT_EQ(a.commits + b.commits, 0);
-}
-
-TEST_F(TwoPcTest, UnreachableParticipantAborts) {
-  TwoPhaseCommitCoordinator coord(&network_, coord_node_);
-  RecordingParticipant a(a_node_, true);
-  RecordingParticipant b(b_node_, true);
-  network_.SetNodeUp(b_node_, false);
-  auto committed = coord.Execute(TxnId(1), {&a, &b});
-  ASSERT_TRUE(committed.ok());
-  EXPECT_FALSE(*committed);
-}
-
-TEST_F(TwoPcTest, ReadOnlyOptimizationSkipsPhaseTwo) {
-  TwoPhaseCommitCoordinator coord(&network_, coord_node_);
-  RecordingParticipant writer(a_node_, true);
-  RecordingParticipant reader(b_node_, true, /*read_only=*/true);
-  auto committed = coord.Execute(TxnId(1), {&writer, &reader});
-  ASSERT_TRUE(*committed);
-  EXPECT_EQ(reader.prepares, 0);  // vote handled by the transport round
-  EXPECT_EQ(reader.commits, 0);
-  EXPECT_EQ(writer.commits, 1);
-  EXPECT_EQ(coord.stats().read_only_skips, 1u);
-}
-
-TEST_F(TwoPcTest, LocalOptimizationAvoidsLanMessages) {
-  TwoPhaseCommitCoordinator coord(&network_, coord_node_);
-  RecordingParticipant local(coord_node_, true);  // co-located
-  network_.ResetStats();
-  auto committed = coord.Execute(TxnId(1), {&local});
-  ASSERT_TRUE(*committed);
-  EXPECT_EQ(coord.stats().messages, 0u);  // no LAN traffic
-  EXPECT_GT(coord.stats().local_fast_paths, 0u);
-}
-
-TEST_F(TwoPcTest, DisablingLocalOptimizationCostsMessages) {
-  TwoPhaseCommitCoordinator coord(&network_, coord_node_);
-  coord.set_local_optimization(false);
-  RecordingParticipant local(coord_node_, true);
-  auto committed = coord.Execute(TxnId(1), {&local});
-  ASSERT_TRUE(*committed);
-  EXPECT_GT(coord.stats().messages, 0u);
-}
-
-TEST_F(TwoPcTest, MessageCountMatchesProtocolShape) {
-  TwoPhaseCommitCoordinator coord(&network_, coord_node_);
-  RecordingParticipant a(a_node_, true);
-  RecordingParticipant b(b_node_, true);
-  coord.Execute(TxnId(1), {&a, &b}).ok();
-  // 2 participants x 2 phases x (request + reply) = 8 messages.
-  EXPECT_EQ(coord.stats().messages, 8u);
 }
 
 }  // namespace
