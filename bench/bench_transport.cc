@@ -2,14 +2,19 @@
 // transport cost per RPC, and how does it compare to the zero-copy
 // simulated path the deterministic tests use?
 //
-// Three legs, same 64-byte echo handler:
+// Four legs, same 64-byte echo handler:
 //   BM_RttUnixSocket  net::RpcChannel -> net::RpcServer over a
 //                     Unix-domain socket (the single-host deployment)
+//   BM_RttUnixSocketConcurrent
+//                     same, 4 threads sharing one channel: the
+//                     multiplexed shape (one caller reads the socket
+//                     for all of them) that the single-caller fast
+//                     path must not break
 //   BM_RttTcpLoopback same over TCP 127.0.0.1 (the LAN deployment)
 //   BM_RttSimulated   rpc::TransactionalRpc over the in-memory Network
 //                     (no syscalls — the floor the socket legs chase)
 //
-// main() re-times the three legs outside google-benchmark and writes
+// main() re-times the legs outside google-benchmark and writes
 // BENCH_transport.json so CI can track median RTT per leg.
 
 #include <benchmark/benchmark.h>
@@ -23,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -87,6 +93,28 @@ void BM_RttUnixSocket(benchmark::State& state) {
 }
 BENCHMARK(BM_RttUnixSocket)->Arg(64)->Arg(4096)->UseRealTime();
 
+constexpr int kConcurrentCallers = 4;
+
+void BM_RttUnixSocketConcurrent(benchmark::State& state) {
+  static SocketRig* rig = nullptr;
+  // Thread 0 builds the shared rig before the start barrier and tears
+  // it down after the end barrier, when every thread is done calling.
+  if (state.thread_index() == 0) {
+    rig = new SocketRig(net::Address::Unix(BenchSocketPath("uds_conc")),
+                        static_cast<size_t>(state.range(0)));
+  }
+  for (auto _ : state) rig->Roundtrip();
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    delete rig;
+    rig = nullptr;
+  }
+}
+BENCHMARK(BM_RttUnixSocketConcurrent)
+    ->Arg(64)
+    ->Threads(kConcurrentCallers)
+    ->UseRealTime();
+
 void BM_RttTcpLoopback(benchmark::State& state) {
   SocketRig rig(net::Address::Tcp("127.0.0.1", 0),
                 static_cast<size_t>(state.range(0)));
@@ -113,7 +141,8 @@ BENCHMARK(BM_RttSimulated)->Arg(64)->Arg(4096)->UseRealTime();
 
 // --- JSON gate emission ----------------------------------------------------
 
-double MedianRttUs(const std::function<void()>& roundtrip, int iters) {
+std::vector<double> TimeRoundtrips(const std::function<void()>& roundtrip,
+                                   int iters) {
   std::vector<double> samples;
   samples.reserve(iters);
   for (int i = 0; i < iters; ++i) {
@@ -123,8 +152,34 @@ double MedianRttUs(const std::function<void()>& roundtrip, int iters) {
     samples.push_back(
         std::chrono::duration<double, std::micro>(end - start).count());
   }
+  return samples;
+}
+
+double Median(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
+}
+
+double MedianRttUs(const std::function<void()>& roundtrip, int iters) {
+  return Median(TimeRoundtrips(roundtrip, iters));
+}
+
+/// Median per-call RTT with kConcurrentCallers threads calling through
+/// one channel at once, `iters` calls each.
+double ConcurrentMedianRttUs(SocketRig& rig, int iters) {
+  std::vector<std::vector<double>> per_thread(kConcurrentCallers);
+  std::vector<std::thread> threads;
+  for (auto& samples : per_thread) {
+    threads.emplace_back([&rig, iters, &samples] {
+      samples = TimeRoundtrips([&rig] { rig.Roundtrip(); }, iters);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  std::vector<double> all;
+  for (const auto& samples : per_thread) {
+    all.insert(all.end(), samples.begin(), samples.end());
+  }
+  return Median(std::move(all));
 }
 
 int EmitGateJson(const char* path) {
@@ -132,11 +187,13 @@ int EmitGateJson(const char* path) {
   constexpr size_t kPayload = 64;
 
   double uds_us;
+  double uds_concurrent_us;
   double tcp_us;
   {
     SocketRig rig(net::Address::Unix(BenchSocketPath("json_uds")), kPayload);
     for (int i = 0; i < 100; ++i) rig.Roundtrip();  // warm the connection
     uds_us = MedianRttUs([&] { rig.Roundtrip(); }, kIters);
+    uds_concurrent_us = ConcurrentMedianRttUs(rig, kIters);
   }
   {
     SocketRig rig(net::Address::Tcp("127.0.0.1", 0), kPayload);
@@ -160,6 +217,9 @@ int EmitGateJson(const char* path) {
   json += "  \"iters\": " + std::to_string(kIters) + ",\n";
   std::snprintf(buffer, sizeof(buffer), "%.2f", uds_us);
   json += "  \"unix_socket_rtt_us_p50\": " + std::string(buffer) + ",\n";
+  std::snprintf(buffer, sizeof(buffer), "%.2f", uds_concurrent_us);
+  json += "  \"unix_socket_4callers_rtt_us_p50\": " + std::string(buffer) +
+          ",\n";
   std::snprintf(buffer, sizeof(buffer), "%.2f", tcp_us);
   json += "  \"tcp_loopback_rtt_us_p50\": " + std::string(buffer) + ",\n";
   std::snprintf(buffer, sizeof(buffer), "%.2f", sim_us);

@@ -21,15 +21,27 @@ void FramedConnection::Start() {
   loop_->RegisterFd(fd_, POLLIN, [this](short events) { HandleEvents(events); });
 }
 
+bool FramedConnection::closed() const {
+  MutexLock lock(&out_mu_);
+  return !open_;
+}
+
 void FramedConnection::Close() {
-  if (fd_ < 0) return;
+  {
+    MutexLock lock(&out_mu_);
+    if (!open_) return;
+    open_ = false;
+    outbound_.clear();
+    outbound_offset_ = 0;
+  }
+  // No sender can reach the fd now: every write checks open_ under
+  // out_mu_ first.
   loop_->UnregisterFd(fd_);
   CloseFd(fd_);
-  fd_ = -1;
 }
 
 void FramedConnection::Fail(Status reason) {
-  if (fd_ < 0) return;
+  if (closed()) return;
   Close();
   if (on_closed_) {
     // The handler may destroy this connection; detach it first and
@@ -40,19 +52,12 @@ void FramedConnection::Fail(Status reason) {
   }
 }
 
-void FramedConnection::UpdateWatchedEvents() {
-  if (fd_ < 0) return;
-  short events = POLLIN;
-  if (outbound_.size() > outbound_offset_) events |= POLLOUT;
-  loop_->UpdateEvents(fd_, events);
-}
-
 void FramedConnection::HandleEvents(short events) {
   // Read first even on POLLERR/POLLHUP: the kernel may still hold
   // buffered bytes (including the peer's goodbye frame).
   if (events & (POLLIN | POLLERR | POLLHUP)) {
     HandleReadable();
-    if (fd_ < 0) return;
+    if (closed()) return;
   }
   if (events & POLLOUT) {
     HandleWritable();
@@ -76,7 +81,7 @@ void FramedConnection::HandleReadable() {
           peer_said_goodbye_ = true;
         }
         if (on_frame_) on_frame_(std::move(*frame));
-        if (fd_ < 0) return;  // handler closed us
+        if (closed()) return;  // handler closed us
       }
       continue;
     }
@@ -93,8 +98,9 @@ void FramedConnection::HandleReadable() {
   }
 }
 
-void FramedConnection::HandleWritable() {
-  while (outbound_.size() > outbound_offset_) {
+Status FramedConnection::FlushLocked() {
+  Status result = Status::OK();
+  while (HasPendingOutputLocked()) {
     ssize_t n = ::send(fd_, outbound_.data() + outbound_offset_,
                        outbound_.size() - outbound_offset_, MSG_NOSIGNAL);
     if (n > 0) {
@@ -103,23 +109,55 @@ void FramedConnection::HandleWritable() {
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    Fail(Status::Unavailable(std::string("write: ") + std::strerror(errno)));
-    return;
+    result = Status::Unavailable(std::string("write: ") + std::strerror(errno));
+    break;
   }
-  if (outbound_offset_ == outbound_.size()) {
+  if (!HasPendingOutputLocked()) {
     outbound_.clear();
     outbound_offset_ = 0;
   } else if (outbound_offset_ > 65536) {
     outbound_.erase(0, outbound_offset_);
     outbound_offset_ = 0;
   }
-  UpdateWatchedEvents();
+  return result;
+}
+
+void FramedConnection::HandleWritable() {
+  Status flushed = Status::OK();
+  short events = POLLIN;
+  {
+    MutexLock lock(&out_mu_);
+    if (!open_) return;
+    flushed = FlushLocked();
+    if (HasPendingOutputLocked()) events |= POLLOUT;
+  }
+  if (!flushed.ok()) {
+    Fail(std::move(flushed));
+    return;
+  }
+  loop_->UpdateEvents(fd_, events);
 }
 
 void FramedConnection::SendFrame(FrameType type, std::string_view payload) {
-  if (fd_ < 0) return;
-  AppendFrame(&outbound_, type, payload);
-  HandleWritable();
+  {
+    MutexLock lock(&out_mu_);
+    if (!open_) return;
+    // Bytes already queued mean the loop is draining them behind
+    // POLLOUT (or is about to): append behind them, never write past.
+    bool idle = !HasPendingOutputLocked();
+    AppendFrame(&outbound_, type, payload);
+    if (!idle) return;
+    // A write error leaves the bytes queued; the loop's POLLOUT pass
+    // meets the same error and fails the connection on its thread.
+    (void)FlushLocked();
+    if (!HasPendingOutputLocked()) return;
+  }
+  // Hand the remainder to the loop's POLLOUT path.
+  if (loop_->OnLoopThread()) {
+    loop_->UpdateEvents(fd_, POLLIN | POLLOUT);
+  } else {
+    loop_->Post([self = shared_from_this()] { self->HandleWritable(); });
+  }
 }
 
 }  // namespace concord::net

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,12 +29,6 @@ EventLoop::EventLoop() {
 EventLoop::~EventLoop() {
   ::close(wake_read_fd_);
   ::close(wake_write_fd_);
-}
-
-int64_t EventLoop::NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 bool EventLoop::OnLoopThread() const {
@@ -79,15 +72,6 @@ void EventLoop::UpdateEvents(int fd, short events) {
 
 void EventLoop::UnregisterFd(int fd) { fds_.erase(fd); }
 
-EventLoop::TimerId EventLoop::AddTimer(int64_t delay_ms,
-                                       std::function<void()> cb) {
-  TimerId id = next_timer_id_++;
-  timers_[id] = Timer{NowMs() + (delay_ms < 0 ? 0 : delay_ms), std::move(cb)};
-  return id;
-}
-
-void EventLoop::CancelTimer(TimerId id) { timers_.erase(id); }
-
 void EventLoop::DrainWakePipe() {
   char sink[64];
   while (::read(wake_read_fd_, sink, sizeof(sink)) > 0) {
@@ -105,38 +89,12 @@ void EventLoop::RunPosted() {
   for (auto& fn : batch) fn();
 }
 
-void EventLoop::RunDueTimers() {
-  // Collect-then-fire: a timer callback may add or cancel timers, so
-  // never invoke while iterating the map.
-  int64_t now = NowMs();
-  std::vector<std::pair<TimerId, std::function<void()>>> due;
-  for (const auto& [id, timer] : timers_) {
-    if (timer.deadline_ms <= now) due.emplace_back(id, timer.callback);
-  }
-  for (auto& [id, fn] : due) {
-    if (timers_.erase(id) != 0) fn();
-  }
-}
-
-int EventLoop::NextPollTimeoutMs() const {
-  if (timers_.empty()) return 1000;
-  int64_t nearest = INT64_MAX;
-  for (const auto& [id, timer] : timers_) {
-    (void)id;
-    if (timer.deadline_ms < nearest) nearest = timer.deadline_ms;
-  }
-  int64_t delta = nearest - NowMs();
-  if (delta <= 0) return 0;
-  return delta > 1000 ? 1000 : static_cast<int>(delta);
-}
-
 void EventLoop::Run() {
   loop_thread_.store(std::this_thread::get_id(), std::memory_order_release);
   for (;;) {
     // Posted work runs before the stop check so tasks queued just
-    // ahead of Stop() (e.g. final replies) are flushed, not dropped.
+    // ahead of Stop() (e.g. goodbye frames) are flushed, not dropped.
     RunPosted();
-    RunDueTimers();
     {
       MutexLock lock(&mu_);
       if (stop_requested_) break;
@@ -149,7 +107,7 @@ void EventLoop::Run() {
       pfds.push_back(pollfd{fd, entry.events, 0});
     }
 
-    int rc = ::poll(pfds.data(), pfds.size(), NextPollTimeoutMs());
+    int rc = ::poll(pfds.data(), pfds.size(), -1);
     if (rc < 0 && errno != EINTR) {
       CONCORD_ERROR("net", "event loop poll failed: " << std::strerror(errno));
       break;

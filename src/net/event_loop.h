@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -13,12 +12,15 @@
 
 namespace concord::net {
 
-/// A small poll(2)-driven reactor. One thread calls Run(); everything
-/// the loop owns — fd registrations, timers, connection state hung off
-/// the callbacks — is touched only from that thread, which is what
-/// keeps the transport lock-free on the hot path. Other threads talk
-/// to the loop exclusively through Post()/Stop(), which enqueue under
-/// a mutex and wake the poller via a self-pipe.
+/// A small poll(2)-driven reactor. One thread calls Run(); the fd
+/// registrations, and the per-fd read state hung off their callbacks,
+/// are touched only from that thread. Other threads reach the loop
+/// through Post()/Stop(), which enqueue under a mutex and wake the
+/// poller via a self-pipe — and, for the one state that is shared on
+/// purpose, through FramedConnection::SendFrame: a server worker
+/// writes its reply to the socket itself, under the connection's own
+/// outbound-buffer mutex, and posts to the loop only when a partial
+/// write leaves bytes for the POLLOUT path.
 ///
 /// Scale note: concordd planes are a handful of peers, not ten
 /// thousand; poll over a rebuilt pollfd vector is the right tool, and
@@ -28,7 +30,6 @@ class EventLoop {
   /// Bitmask delivered to fd callbacks: POLLIN/POLLOUT/POLLERR/POLLHUP
   /// as defined by <poll.h>.
   using FdCallback = std::function<void(short events)>;
-  using TimerId = uint64_t;
 
   EventLoop();
   ~EventLoop();
@@ -59,34 +60,20 @@ class EventLoop {
   /// callback; does not close the fd.
   void UnregisterFd(int fd);
 
-  /// One-shot timer `delay_ms` from now on the loop thread.
-  TimerId AddTimer(int64_t delay_ms, std::function<void()> cb);
-  /// No-op if the timer already fired.
-  void CancelTimer(TimerId id);
-
  private:
   struct FdEntry {
     short events = 0;
     FdCallback callback;
   };
-  struct Timer {
-    int64_t deadline_ms = 0;  // steady clock
-    std::function<void()> callback;
-  };
 
-  static int64_t NowMs();
   void DrainWakePipe();
   void RunPosted();
-  void RunDueTimers();
-  int NextPollTimeoutMs() const;
 
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
 
   // Loop-thread-only state.
   std::unordered_map<int, FdEntry> fds_;
-  std::map<TimerId, Timer> timers_;
-  TimerId next_timer_id_ = 1;
   std::atomic<std::thread::id> loop_thread_{};
 
   Mutex mu_;

@@ -53,8 +53,8 @@ void RpcServer::Shutdown() {
   queue_cv_.NotifyAll();
   for (auto& worker : workers_) worker.join();
   workers_.clear();
-  // Workers have posted their final completions; Stop() lets the loop
-  // flush them before exiting.
+  // Stop() runs what is still posted (goodbyes, POLLOUT hand-offs of
+  // the workers' final replies) before the loop exits.
   loop_.Stop();
   loop_thread_.join();
   conns_.clear();
@@ -83,7 +83,7 @@ void RpcServer::AcceptPending() {
       return;
     }
     uint64_t conn_id = next_conn_id_++;
-    auto conn = std::make_unique<FramedConnection>(&loop_, *fd);
+    auto conn = std::make_shared<FramedConnection>(&loop_, *fd);
     conn->set_on_frame(
         [this, conn_id](Frame frame) { OnFrame(conn_id, std::move(frame)); });
     conn->set_on_closed([this, conn_id](Status reason) {
@@ -92,20 +92,16 @@ void RpcServer::AcceptPending() {
       if (reason.IsProtocolViolation()) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       }
-      OnConnectionClosed(conn_id);
+      DropConnection(conn_id);
     });
     conn->Start();
     conns_[conn_id] = std::move(conn);
   }
 }
 
-void RpcServer::OnConnectionClosed(uint64_t conn_id) {
-  for (auto& [key, waiters] : in_flight_) {
-    (void)key;
-    std::erase(waiters, conn_id);
-  }
-  // The close handler runs on the connection's own stack; defer the
-  // destruction one loop iteration.
+void RpcServer::DropConnection(uint64_t conn_id) {
+  // Runs on the connection's own stack (its close handler, or OnFrame);
+  // defer the destruction one loop iteration.
   loop_.Post([this, conn_id] { conns_.erase(conn_id); });
 }
 
@@ -113,11 +109,11 @@ void RpcServer::OnFrame(uint64_t conn_id, Frame frame) {
   if (frame.type == FrameType::kGoodbye) return;  // EOF follows
   auto conn_it = conns_.find(conn_id);
   if (conn_it == conns_.end()) return;
-  FramedConnection* conn = conn_it->second.get();
+  const std::shared_ptr<FramedConnection>& conn = conn_it->second;
   if (frame.type != FrameType::kRequest) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     conn->Close();
-    loop_.Post([this, conn_id] { conns_.erase(conn_id); });
+    DropConnection(conn_id);
     return;
   }
   auto request = DecodeRequestEnvelope(frame.payload);
@@ -126,35 +122,43 @@ void RpcServer::OnFrame(uint64_t conn_id, Frame frame) {
     CONCORD_WARN("net", "tearing down connection: "
                             << request.status().message());
     conn->Close();
-    loop_.Post([this, conn_id] { conns_.erase(conn_id); });
+    DropConnection(conn_id);
     return;
   }
   requests_received_.fetch_add(1, std::memory_order_relaxed);
   if (request->acked_below > 0) {
     dedup_.PruneBelow(request->client_id, request->acked_below);
   }
+  // Still executing (e.g. the client reconnected and retried while a
+  // worker holds the original): attach to that execution. Checked
+  // before the dedup cache: a worker records the reply there before it
+  // retires the in-flight entry, so a call found in neither place is
+  // not running and has no recorded reply.
+  CallKey key{request->client_id, request->call_id};
+  {
+    MutexLock lock(&in_flight_mu_);
+    auto in_flight_it = in_flight_.find(key);
+    if (in_flight_it != in_flight_.end()) {
+      duplicate_in_flight_.fetch_add(1, std::memory_order_relaxed);
+      auto& waiters = in_flight_it->second;
+      if (std::find(waiters.begin(), waiters.end(), conn) == waiters.end()) {
+        waiters.push_back(conn);
+      }
+      return;
+    }
+  }
   // At-most-once: a completed call replays its recorded reply.
   if (auto cached = dedup_.Lookup(request->client_id, request->call_id)) {
     conn->SendFrame(FrameType::kReply, *cached);
     return;
   }
-  // Still executing (e.g. the client reconnected and retried while a
-  // worker holds the original): attach to that execution.
-  std::pair<uint64_t, uint64_t> key{request->client_id, request->call_id};
-  auto in_flight_it = in_flight_.find(key);
-  if (in_flight_it != in_flight_.end()) {
-    duplicate_in_flight_.fetch_add(1, std::memory_order_relaxed);
-    auto& waiters = in_flight_it->second;
-    if (std::find(waiters.begin(), waiters.end(), conn_id) == waiters.end()) {
-      waiters.push_back(conn_id);
-    }
-    return;
+  {
+    MutexLock lock(&in_flight_mu_);
+    in_flight_[key] = {conn};
   }
-  in_flight_[key] = {conn_id};
   WorkItem item;
   item.client_id = request->client_id;
   item.call_id = request->call_id;
-  item.conn_id = conn_id;
   item.method = std::move(request->method);
   item.payload = std::move(request->payload);
   {
@@ -191,11 +195,7 @@ void RpcServer::WorkerMain() {
       }
     }
     requests_executed_.fetch_add(1, std::memory_order_relaxed);
-    loop_.Post([this, client_id = item.client_id, call_id = item.call_id,
-                status = std::move(status),
-                payload = std::move(reply_payload)] {
-      CompleteCall(client_id, call_id, status, payload);
-    });
+    CompleteCall(item.client_id, item.call_id, status, reply_payload);
   }
 }
 
@@ -210,22 +210,18 @@ void RpcServer::CompleteCall(uint64_t client_id, uint64_t call_id,
   // Record first, send second: if the send races a connection drop the
   // client's retry still finds the recorded outcome.
   dedup_.Insert(client_id, call_id, encoded);
-  std::pair<uint64_t, uint64_t> key{client_id, call_id};
-  auto it = in_flight_.find(key);
-  if (it != in_flight_.end()) {
-    for (uint64_t conn_id : it->second) {
-      SendReply(conn_id, call_id, status, encoded);
+  std::vector<std::shared_ptr<FramedConnection>> waiters;
+  {
+    MutexLock lock(&in_flight_mu_);
+    auto it = in_flight_.find(CallKey{client_id, call_id});
+    if (it != in_flight_.end()) {
+      waiters = std::move(it->second);
+      in_flight_.erase(it);
     }
-    in_flight_.erase(it);
   }
-}
-
-void RpcServer::SendReply(uint64_t conn_id, uint64_t /*call_id*/,
-                          const Status& /*status*/,
-                          const std::string& encoded) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end() || it->second->closed()) return;
-  it->second->SendFrame(FrameType::kReply, encoded);
+  for (const auto& conn : waiters) {
+    conn->SendFrame(FrameType::kReply, encoded);
+  }
 }
 
 }  // namespace concord::net

@@ -35,13 +35,15 @@ struct RpcServerStats {
 /// address, decodes request envelopes, and executes registered method
 /// handlers with at-most-once semantics per (client_id, call_id).
 ///
-/// Threading: one event-loop thread owns all sockets and the in-flight
-/// bookkeeping; a small worker pool executes handlers (which may be
-/// slow — they run full transaction batches) so the loop never blocks.
-/// Completion hops back to the loop thread via Post to send the reply
-/// and record it in the shared DedupCache. A retry arriving while the
-/// original execution is still running attaches to that execution
-/// instead of re-executing.
+/// Threading: one event-loop thread accepts, reads, decodes,
+/// deduplicates and queues requests; it never runs a handler, because
+/// handlers run full transaction batches and may block on fsync. A
+/// small worker pool executes them, and the worker that ran a handler
+/// completes the call itself: it records the reply in the shared
+/// DedupCache, then writes it to every connection waiting on the call
+/// (FramedConnection::SendFrame; a partial write is left to the loop's
+/// POLLOUT path). A retry arriving while the original execution is
+/// still running attaches to that execution instead of re-executing.
 ///
 /// At-most-once holds per server incarnation: the dedup table is in
 /// memory, so a kill -9 erases it and a retried call from before the
@@ -85,21 +87,21 @@ class RpcServer {
   struct WorkItem {
     uint64_t client_id = 0;
     uint64_t call_id = 0;
-    uint64_t conn_id = 0;
     std::string method;
     std::string payload;
   };
+  using CallKey = std::pair<uint64_t, uint64_t>;  // (client, call)
 
   // Loop-thread-only.
   void AcceptPending();
   void OnFrame(uint64_t conn_id, Frame frame);
-  void OnConnectionClosed(uint64_t conn_id);
-  void SendReply(uint64_t conn_id, uint64_t call_id, const Status& status,
-                 const std::string& payload);
-  void CompleteCall(uint64_t client_id, uint64_t call_id,
-                    const Status& status, const std::string& payload);
+  void DropConnection(uint64_t conn_id);
 
   void WorkerMain();
+  /// Worker: records the reply, then writes it to every waiter.
+  void CompleteCall(uint64_t client_id, uint64_t call_id,
+                    const Status& status, const std::string& payload)
+      EXCLUDES(in_flight_mu_);
 
   const Address address_;
   const Options options_;
@@ -114,10 +116,16 @@ class RpcServer {
 
   // Owned by the loop thread after Start().
   uint64_t next_conn_id_ = 1;
-  std::unordered_map<uint64_t, std::unique_ptr<FramedConnection>> conns_;
-  /// (client, call) → connections waiting on the running execution.
-  std::map<std::pair<uint64_t, uint64_t>, std::vector<uint64_t>> in_flight_;
+  std::unordered_map<uint64_t, std::shared_ptr<FramedConnection>> conns_;
   std::unordered_map<std::string, Handler> methods_;
+
+  /// Leaf: never held while sending or taking another lock.
+  Mutex in_flight_mu_;
+  /// Running executions → the connections waiting on each. Holding the
+  /// connection itself lets a worker reply without a lookup; a waiter
+  /// that has since closed makes SendFrame a no-op.
+  std::map<CallKey, std::vector<std::shared_ptr<FramedConnection>>>
+      in_flight_ GUARDED_BY(in_flight_mu_);
 
   rpc::DedupCache dedup_;
 

@@ -1,8 +1,10 @@
 // The socket transport (src/net/): frame codec against every
 // fragmentation the stream can produce, envelope round trips, the
 // bounded at-most-once dedup cache, and live loopback RPC over
-// Unix-domain and TCP sockets — including server restart, reconnect
-// backoff, and the at-most-once-across-eviction regression.
+// Unix-domain and TCP sockets — including server restart between and
+// during calls, reconnect backoff, retries attaching to a running
+// execution, handlers slower than the call timeout, and the
+// at-most-once-across-eviction regression.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -13,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -397,6 +400,63 @@ TEST(LoopbackRpc, ConnectsLazilyAndRidesOutSlowServerStart) {
   channel.Shutdown();
 }
 
+// Raw wire helpers: speak the protocol directly to control call ids.
+
+int RawConnect(const Address& address) {
+  auto connecting = StartConnect(address);
+  EXPECT_TRUE(connecting.ok()) << connecting.status().ToString();
+  if (!connecting.ok()) return -1;
+  for (int spin = 0; spin < 1000; ++spin) {
+    if (FinishConnect(*connecting).ok()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return *connecting;
+}
+
+void RawSendRequest(int fd, const RequestEnvelope& request) {
+  std::string wire;
+  AppendFrame(&wire, FrameType::kRequest, EncodeRequestEnvelope(request));
+  ASSERT_EQ(write(fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+}
+
+/// Reads from a nonblocking fd until one complete frame decodes (or
+/// the peer closes: an empty optional).
+std::optional<Frame> RawReadFrame(int fd, FrameDecoder* decoder) {
+  char buffer[4096];
+  for (int spin = 0; spin < 10000; ++spin) {
+    auto frame = decoder->Next();
+    if (frame.ok()) return std::move(*frame);
+    ssize_t n = read(fd, buffer, sizeof(buffer));
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    if (n <= 0) return std::nullopt;
+    decoder->Feed(std::string_view(buffer, static_cast<size_t>(n)));
+  }
+  return std::nullopt;
+}
+
+std::string RawReadReplyPayload(int fd, FrameDecoder* decoder) {
+  auto frame = RawReadFrame(fd, decoder);
+  EXPECT_TRUE(frame.has_value());
+  if (!frame.has_value()) return "";
+  auto reply = DecodeReplyEnvelope(frame->payload);
+  EXPECT_TRUE(reply.ok());
+  return reply.ok() ? reply->payload : "";
+}
+
+/// Polls `done` every millisecond until it holds (true) or 10 s pass.
+template <typename Predicate>
+bool WaitUntil(Predicate done) {
+  for (int spin = 0; spin < 10000; ++spin) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
 TEST(LoopbackRpc, DuplicateCallIdsAnsweredFromDedupCache) {
   // Two raw requests with the SAME (client, call) id: the handler must
   // run once, the second reply must come from the server's dedup cache.
@@ -409,18 +469,8 @@ TEST(LoopbackRpc, DuplicateCallIdsAnsweredFromDedupCache) {
                         });
   ASSERT_TRUE(server.Start().ok());
 
-  // Speak the wire protocol directly to control call ids.
-  int fd = -1;
-  {
-    auto connecting = StartConnect(server.bound_address());
-    ASSERT_TRUE(connecting.ok());
-    fd = *connecting;
-    // Blocking mode keeps this test sequential and simple.
-    for (int spin = 0; spin < 1000; ++spin) {
-      if (FinishConnect(fd).ok()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
+  int fd = RawConnect(server.bound_address());
+  ASSERT_GE(fd, 0);
   RequestEnvelope request;
   request.client_id = 77;
   request.call_id = 5;
@@ -430,29 +480,9 @@ TEST(LoopbackRpc, DuplicateCallIdsAnsweredFromDedupCache) {
   // again — the retry-after-reply shape a reconnecting client produces.
   FrameDecoder decoder;
   std::vector<std::string> replies;
-  char buffer[4096];
   for (int attempt = 0; attempt < 2; ++attempt) {
-    std::string wire;
-    AppendFrame(&wire, FrameType::kRequest, EncodeRequestEnvelope(request));
-    ASSERT_EQ(write(fd, wire.data(), wire.size()),
-              static_cast<ssize_t>(wire.size()));
-    size_t want = replies.size() + 1;
-    while (replies.size() < want) {
-      ssize_t n = read(fd, buffer, sizeof(buffer));
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      ASSERT_GT(n, 0);
-      decoder.Feed(std::string_view(buffer, static_cast<size_t>(n)));
-      while (true) {
-        auto frame = decoder.Next();
-        if (!frame.ok()) break;
-        auto reply = DecodeReplyEnvelope(frame->payload);
-        ASSERT_TRUE(reply.ok());
-        replies.push_back(reply->payload);
-      }
-    }
+    RawSendRequest(fd, request);
+    replies.push_back(RawReadReplyPayload(fd, &decoder));
   }
   CloseFd(fd);
   EXPECT_EQ(executed.load(), 1);
@@ -460,6 +490,53 @@ TEST(LoopbackRpc, DuplicateCallIdsAnsweredFromDedupCache) {
   EXPECT_EQ(replies[1], "1");  // cached, not re-executed
   EXPECT_GE(server.stats().dedup_hits + server.stats().duplicate_in_flight,
             1u);
+  server.Shutdown();
+}
+
+TEST(LoopbackRpc, RetryAttachesToInFlightExecutionAndBothGetTheReply) {
+  // The same (client, call) id arrives on a second connection while
+  // the first execution is still blocked in its handler: the retry
+  // attaches, the handler runs once, and the worker that ran it writes
+  // the one reply to both connections.
+  Address address = Address::Unix(TestSocketPath("attach"));
+  RpcServer server(address);
+  std::atomic<int> executed{0};
+  std::atomic<bool> release{false};
+  server.RegisterMethod("test/blocking",
+                        [&](const std::string&) -> Result<std::string> {
+                          int run = ++executed;
+                          while (!release.load()) {
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(1));
+                          }
+                          return "run " + std::to_string(run);
+                        });
+  ASSERT_TRUE(server.Start().ok());
+
+  RequestEnvelope request;
+  request.client_id = 78;
+  request.call_id = 3;
+  request.method = "test/blocking";
+  request.payload = "x";
+  int first = RawConnect(address);
+  int second = RawConnect(address);
+  ASSERT_GE(first, 0);
+  ASSERT_GE(second, 0);
+  RawSendRequest(first, request);
+  ASSERT_TRUE(WaitUntil([&] { return executed.load() == 1; }));
+  RawSendRequest(second, request);
+  ASSERT_TRUE(
+      WaitUntil([&] { return server.stats().duplicate_in_flight >= 1; }));
+  release = true;
+
+  FrameDecoder first_decoder;
+  FrameDecoder second_decoder;
+  EXPECT_EQ(RawReadReplyPayload(first, &first_decoder), "run 1");
+  EXPECT_EQ(RawReadReplyPayload(second, &second_decoder), "run 1");
+  CloseFd(first);
+  CloseFd(second);
+  EXPECT_EQ(executed.load(), 1);
+  EXPECT_EQ(server.stats().requests_executed, 1u);
   server.Shutdown();
 }
 
@@ -513,6 +590,119 @@ TEST(LoopbackRpc, AtMostOncePerIncarnationAcrossServerRestart) {
   EXPECT_GE(channel.stats().reconnects, 1u);
   channel.Shutdown();
   second->Shutdown();
+}
+
+TEST(LoopbackRpc, ConnectionLostMidCallResendsSameCallIdToNewIncarnation) {
+  // The connection drops while a call is unreplied: a stand-in listener
+  // reads the request and hangs up without answering, then a real
+  // server binds the same address. The channel must reconnect, re-send
+  // the SAME call id, and return the new incarnation's reply.
+  Address address = Address::Unix(TestSocketPath("midcall"));
+  auto listen_fd = ListenOn(address);
+  ASSERT_TRUE(listen_fd.ok()) << listen_fd.status().ToString();
+  std::atomic<int> executed{0};
+  std::unique_ptr<RpcServer> server;
+  uint64_t dropped_call_id = 0;
+  std::thread stand_in([&] {
+    Result<int> fd = Status::Unavailable("no peer yet");
+    ASSERT_TRUE(WaitUntil([&] {
+      fd = AcceptOn(*listen_fd);
+      return fd.ok();
+    }));
+    FrameDecoder decoder;
+    auto frame = RawReadFrame(*fd, &decoder);
+    ASSERT_TRUE(frame.has_value());
+    auto request = DecodeRequestEnvelope(frame->payload);
+    ASSERT_TRUE(request.ok());
+    dropped_call_id = request->call_id;
+    CloseFd(*fd);
+    CloseFd(*listen_fd);
+    server = std::make_unique<RpcServer>(address);
+    server->RegisterMethod("test/echo",
+                           [&](const std::string& payload)
+                               -> Result<std::string> {
+                             ++executed;
+                             return "new:" + payload;
+                           });
+    ASSERT_TRUE(server->Start().ok());
+  });
+
+  RpcChannel::Options options;
+  options.call_timeout_ms = 10000;
+  RpcChannel channel(/*client_id=*/12, address, options);
+  auto reply = channel.Call("test/echo", "survivor");
+  stand_in.join();
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(*reply, "new:survivor");
+  EXPECT_EQ(executed.load(), 1);
+  EXPECT_GE(channel.stats().retries, 1u);
+  EXPECT_GE(channel.stats().reconnects, 1u);
+  // The new incarnation executed the re-sent id, not a fresh one.
+  EXPECT_TRUE(server->dedup().Contains(12, dropped_call_id));
+  channel.Shutdown();
+  server->Shutdown();
+}
+
+TEST(LoopbackRpc, SlowHandlerTimesOutWithoutStallingChannelOrLoop) {
+  // A handler that outlives call_timeout_ms: its call fails in doubt,
+  // its late reply is dropped, the next call on the same channel works
+  // (the timed-out reader handed its role over), and while the handler
+  // still blocks a second channel is served promptly (the loop never
+  // runs handlers).
+  Address address = Address::Unix(TestSocketPath("slow"));
+  RpcServer::Options server_options;
+  server_options.worker_threads = 2;
+  RpcServer server(address, server_options);
+  std::atomic<bool> release{false};
+  std::atomic<bool> slow_returned{false};
+  server.RegisterMethod("test/slow",
+                        [&](const std::string&) -> Result<std::string> {
+                          while (!release.load()) {
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(1));
+                          }
+                          slow_returned = true;
+                          return std::string("late");
+                        });
+  server.RegisterMethod("test/echo",
+                        [](const std::string& payload)
+                            -> Result<std::string> { return payload; });
+  ASSERT_TRUE(server.Start().ok());
+
+  RpcChannel::Options options;
+  options.call_timeout_ms = 300;
+  RpcChannel channel(1, address, options);
+  auto slow = channel.Call("test/slow", "x");
+  EXPECT_TRUE(slow.status().IsUnavailable()) << slow.status().ToString();
+  EXPECT_EQ(channel.stats().timeouts, 1u);
+
+  auto next = channel.Call("test/echo", "next");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(*next, "next");
+
+  RpcChannel other(2, address, options);
+  auto start = std::chrono::steady_clock::now();
+  auto prompt = other.Call("test/echo", "prompt");
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(prompt.ok()) << prompt.status().ToString();
+  EXPECT_EQ(*prompt, "prompt");
+  EXPECT_LT(elapsed, std::chrono::milliseconds(options.call_timeout_ms));
+  EXPECT_FALSE(slow_returned.load());
+
+  // Let the late reply reach the channel; it must not be mistaken for
+  // the reply of a later call.
+  release = true;
+  ASSERT_TRUE(
+      WaitUntil([&] { return server.stats().requests_executed == 3; }));
+  auto after = channel.Call("test/echo", "after");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*after, "after");
+  EXPECT_EQ(channel.stats().timeouts, 1u);
+  EXPECT_EQ(channel.stats().retries, 0u);
+  other.Shutdown();
+  channel.Shutdown();
+  server.Shutdown();
 }
 
 TEST(LoopbackRpc, GarbageSpeakerIsTornDownWithoutHarmingOthers) {
