@@ -1,5 +1,7 @@
 #include "core/concord_system.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/strings.h"
 
@@ -20,112 +22,38 @@ void RegisterVlsiDomainConstraints(workflow::ConstraintSet* constraints) {
 }
 
 ConcordSystem::ConcordSystem(SystemConfig config)
-    : config_(config), rng_(config.seed) {
-  if (config_.server_nodes < 1) config_.server_nodes = 1;
-  if (config_.partitions_per_node < 1) config_.partitions_per_node = 1;
-  network_ = std::make_unique<rpc::Network>(&clock_, config.seed ^ 0x9e37);
-  network_->set_lan_latency(config.lan_latency);
-  network_->set_local_latency(config.local_latency);
-  network_->set_loss_probability(config.message_loss_probability);
-  rpc_ = std::make_unique<rpc::TransactionalRpc>(network_.get());
-
-  // The server plane: node 0 is the coordinator (CM, placement
-  // authority, meta store); every node carries a repository shard —
-  // DOV ids are namespaced by shard index — and a server-TM fronting
-  // it, registered as its own ServerService RPC endpoint.
-  const bool sharded = config_.server_nodes > 1;
-  for (int shard = 0; shard < config_.server_nodes; ++shard) {
-    ServerNode node;
-    node.node = network_->AddNode(shard == 0 ? std::string("server")
-                                             : IndexedName("server", shard));
-    node.repository = std::make_unique<storage::Repository>(&clock_);
-    node.repository->set_dov_id_shard(static_cast<uint32_t>(shard));
-    servers_.push_back(std::move(node));
-    placement_.RegisterNode(servers_.back().node);
-  }
-  server_node_ = servers_.front().node;
-  invalidation_bus_ =
-      std::make_unique<rpc::InvalidationBus>(network_.get(), server_node_);
-
-  // Every shard registers the identical VLSI schema (same call order,
-  // same DOT ids), so checkin validation agrees plane-wide.
-  for (ServerNode& server : servers_) {
-    dots_ = vlsi::RegisterVlsiSchema(&server.repository->schema());
-  }
+    : config_(config),
+      rng_(config.seed),
+      // Every shard registers the identical VLSI schema (same call
+      // order, same DOT ids), so checkin validation agrees plane-wide.
+      plane_(config.seed ^ 0x9e37,
+             static_cast<size_t>(std::max(1, config.server_nodes)),
+             std::max(1, config.partitions_per_node),
+             config.pin_executor_cores,
+             [this](storage::SchemaCatalog* schema) {
+               dots_ = vlsi::RegisterVlsiSchema(schema);
+             }) {
+  rpc::Network& network = plane_.network();
+  network.set_lan_latency(config.lan_latency);
+  network.set_local_latency(config.local_latency);
+  network.set_loss_probability(config.message_loss_probability);
   toolbox_ = std::make_unique<vlsi::ToolBox>(dots_);
   RegisterVlsiDomainConstraints(&constraints_);
-
-  // The server-TMs ask *this* for scope decisions; we forward to the
-  // CM (which is constructed right after and owns the policy).
-  std::vector<storage::Repository*> repos;
-  std::vector<txn::ServerLockTable*> lock_shards;
-  for (ServerNode& server : servers_) {
-    server.tm = std::make_unique<txn::ServerTm>(
-        server.repository.get(), network_.get(), server.node, this,
-        invalidation_bus_.get(), config_.partitions_per_node,
-        config_.pin_executor_cores);
-    if (sharded) server.tm->JoinPlane(&placement_);
-    // Server-side half of the ServerService protocol: every client-TM
-    // envelope lands here as a real, countable RPC.
-    txn::RegisterServerService(server.tm.get(), rpc_.get());
-    repos.push_back(server.repository.get());
-    lock_shards.push_back(&server.tm->locks());
-  }
-  // Workstation placement caches fetch from the coordinator, and new
-  // DAs are never homed on a node currently crashed.
-  placement_.SetLivenessProbe(
-      [this](NodeId node) { return network_->IsUp(node); });
-  txn::RegisterPlacementService(&placement_, rpc_.get(), server_node_);
-
-  cm_ = std::make_unique<cooperation::CooperationManager>(
-      storage::RepositoryRouter(std::move(repos)),
-      txn::LockRouter(std::move(lock_shards)),
-      sharded ? &placement_ : nullptr, &clock_);
-  cm_->SetEventSink([this](DaId da, const workflow::Event& event) {
+  plane_.cm().SetEventSink([this](DaId da, const workflow::Event& event) {
     DeliverEvent(da, event);
   });
-  // CM withdrawal/invalidation -> push to every workstation DOV cache,
-  // published from the node that owns the withdrawn DOV.
-  cm_->SetWithdrawalSink(
-      [this](DaId da, DovId dov, bool invalidated, DovId replacement) {
-        rpc::InvalidationMessage message;
-        message.kind = invalidated
-                           ? rpc::InvalidationMessage::Kind::kInvalidated
-                           : rpc::InvalidationMessage::Kind::kWithdrawn;
-        message.dov = dov;
-        message.origin_da = da;
-        message.replacement = replacement;
-        message.origin_node =
-            servers_[DovShardClamped(dov, servers_.size())].node;
-        invalidation_bus_->Publish(message);
-      });
 }
 
 ConcordSystem::~ConcordSystem() = default;
 
 NodeId ConcordSystem::AddWorkstation(const std::string& name) {
-  NodeId node = network_->AddNode(name);
-  Workstation ws;
-  // One stub per server node: every server trip is a countable RPC on
-  // the link the request actually takes.
-  std::vector<std::pair<NodeId, txn::ServerService*>> routes;
-  for (ServerNode& server : servers_) {
-    ws.stubs.push_back(std::make_unique<txn::RemoteServerStub>(
-        rpc_.get(), node, server.node));
-    routes.emplace_back(server.node, ws.stubs.back().get());
-  }
-  ws.placement = std::make_unique<txn::PlacementClient>(rpc_.get(), node,
-                                                        server_node_);
-  ws.tm = std::make_unique<txn::ClientTm>(
-      txn::ShardRouter(std::move(routes), ws.placement.get()), network_.get(),
-      node, &clock_, invalidation_bus_.get());
-  ws.tm->set_auto_recovery_interval(config_.recovery_point_interval);
-  workstations_.emplace(node.value(), std::move(ws));
-  return node;
+  ServerPlane::Workstation& ws = plane_.AddWorkstation(name);
+  ws.client->set_auto_recovery_interval(config_.recovery_point_interval);
+  return ws.node;
 }
 
 txn::ClientTm& ConcordSystem::client_tm(NodeId workstation) {
-  return *workstations_.at(workstation.value()).tm;
+  return *plane_.FindWorkstation(workstation)->client;
 }
 
 workflow::DesignManager& ConcordSystem::dm(DaId da) {
@@ -140,10 +68,6 @@ Result<ConcordSystem::DaRuntime*> ConcordSystem::RuntimeOf(DaId da) {
   return &it->second;
 }
 
-bool ConcordSystem::InScope(DaId da, DovId dov) {
-  return cm_->InScope(da, dov);
-}
-
 void ConcordSystem::BindDm(DaId da, DaRuntime* runtime) {
   runtime->dm->SetToolRunner([this, da](const std::string& dop_type) {
     return RunTool(da, dop_type);
@@ -154,7 +78,7 @@ void ConcordSystem::BindDm(DaId da, DaRuntime* runtime) {
   // sim's metrics) can watch a sub-DA's script advance.
   runtime->dm->SetProgressSink([this, da](const workflow::TaskNode& node,
                                           bool started, bool failed) {
-    cm_->NoteScriptProgress(da, node.name,
+    cm().NoteScriptProgress(da, node.name,
                             workflow::TaskRankToString(node.rank), started,
                             failed);
   });
@@ -169,18 +93,18 @@ void ConcordSystem::SetExecutorPool(workflow::ExecutorPool* pool) {
 }
 
 Result<DaId> ConcordSystem::InitDesign(cooperation::DaDescription description) {
-  if (!workstations_.count(description.workstation.value())) {
+  if (plane_.FindWorkstation(description.workstation) == nullptr) {
     return Status::InvalidArgument("unknown workstation " +
                                    description.workstation.ToString());
   }
   workflow::Script script = description.dc;
   NodeId workstation = description.workstation;
-  CONCORD_ASSIGN_OR_RETURN(DaId da, cm_->InitDesign(std::move(description)));
+  CONCORD_ASSIGN_OR_RETURN(DaId da, cm().InitDesign(std::move(description)));
 
   DaRuntime runtime;
   runtime.workstation = workstation;
   runtime.dm = std::make_unique<workflow::DesignManager>(
-      da, std::move(script), &constraints_, &clock_);
+      da, std::move(script), &constraints_, &clock());
   auto [it, inserted] = das_.emplace(da.value(), std::move(runtime));
   BindDm(da, &it->second);
   return da;
@@ -188,19 +112,19 @@ Result<DaId> ConcordSystem::InitDesign(cooperation::DaDescription description) {
 
 Result<DaId> ConcordSystem::CreateSubDa(DaId super,
                                         cooperation::DaDescription description) {
-  if (!workstations_.count(description.workstation.value())) {
+  if (plane_.FindWorkstation(description.workstation) == nullptr) {
     return Status::InvalidArgument("unknown workstation " +
                                    description.workstation.ToString());
   }
   workflow::Script script = description.dc;
   NodeId workstation = description.workstation;
   CONCORD_ASSIGN_OR_RETURN(DaId da,
-                           cm_->CreateSubDa(super, std::move(description)));
+                           cm().CreateSubDa(super, std::move(description)));
 
   DaRuntime runtime;
   runtime.workstation = workstation;
   runtime.dm = std::make_unique<workflow::DesignManager>(
-      da, std::move(script), &constraints_, &clock_);
+      da, std::move(script), &constraints_, &clock());
   auto [it, inserted] = das_.emplace(da.value(), std::move(runtime));
   BindDm(da, &it->second);
   return da;
@@ -209,22 +133,22 @@ Result<DaId> ConcordSystem::CreateSubDa(DaId super,
 Status ConcordSystem::RunDaOp(DaId da, const std::string& op_name) {
   if (op_name == "Evaluate") {
     CONCORD_ASSIGN_OR_RETURN(DovId current, CurrentVersion(da));
-    return cm_->Evaluate(da, current).status();
+    return cm().Evaluate(da, current).status();
   }
   if (op_name == "Propagate") {
     CONCORD_ASSIGN_OR_RETURN(DovId current, CurrentVersion(da));
     // Propagation presumes an evaluated quality state (Sect. 4.1).
-    CONCORD_RETURN_NOT_OK(cm_->Evaluate(da, current).status());
-    return cm_->Propagate(da, current);
+    CONCORD_RETURN_NOT_OK(cm().Evaluate(da, current).status());
+    return cm().Propagate(da, current);
   }
   if (op_name == "Sub_DA_Ready_To_Commit") {
     // Evaluate first so a qualifying current version is marked final.
     auto current = CurrentVersion(da);
-    if (current.ok()) cm_->Evaluate(da, *current).status().ok();
-    return cm_->SubDaReadyToCommit(da);
+    if (current.ok()) cm().Evaluate(da, *current).status().ok();
+    return cm().SubDaReadyToCommit(da);
   }
   if (op_name == "Sub_DA_Impossible_Specification") {
-    return cm_->SubDaImpossibleSpecification(da, "reported by script");
+    return cm().SubDaImpossibleSpecification(da, "reported by script");
   }
   return Status::NotFound("unknown DA operation '" + op_name +
                           "' in script of " + da.ToString());
@@ -232,7 +156,7 @@ Status ConcordSystem::RunDaOp(DaId da, const std::string& op_name) {
 
 Status ConcordSystem::StartDa(DaId da) {
   CONCORD_ASSIGN_OR_RETURN(DaRuntime * runtime, RuntimeOf(da));
-  CONCORD_RETURN_NOT_OK(cm_->Start(da));
+  CONCORD_RETURN_NOT_OK(cm().Start(da));
   return runtime->dm->Start();
 }
 
@@ -290,7 +214,7 @@ Result<ConcordSystem::ToolRun> ConcordSystem::BeginToolRun(
   if (runtime->current.valid()) {
     input_dov = runtime->current;
   } else {
-    auto activity = cm_->GetDa(da);
+    auto activity = cm().GetDa(da);
     if (activity.ok() && (*activity)->initial_dov) {
       input_dov = *(*activity)->initial_dov;
     }
@@ -336,7 +260,7 @@ Result<workflow::DopOutcome> ConcordSystem::FinishToolRun(ToolRun run) {
     return outcome;
   }
   tm.DoWork(dop, tool_result->work_units).ok();
-  clock_.Advance(static_cast<SimTime>(tool_result->work_units) *
+  clock().Advance(static_cast<SimTime>(tool_result->work_units) *
                  config_.time_per_work_unit);
 
   // Checkin + End-of-DOP, batched into one server round trip (the
@@ -351,7 +275,7 @@ Result<workflow::DopOutcome> ConcordSystem::FinishToolRun(ToolRun run) {
     outcome.inputs = inputs;
     return outcome;
   }
-  cm_->NoteCheckin(run.da, *checked_in);
+  cm().NoteCheckin(run.da, *checked_in);
   runtime->current = *checked_in;
 
   workflow::DopOutcome outcome;
@@ -367,11 +291,11 @@ void ConcordSystem::DeliverEvent(DaId da, const workflow::Event& event) {
   DaRuntime& runtime = it->second;
   // One hop server -> workstation; if the workstation is down, queue
   // (reliable delivery, Sect. 5.4).
-  if (!network_->IsUp(runtime.workstation)) {
+  if (!network().IsUp(runtime.workstation)) {
     runtime.pending_events.push_back(event);
     return;
   }
-  network_->Send(server_node_, runtime.workstation).ok();
+  network().Send(server_node(), runtime.workstation).ok();
   if (event.type == "Modify_Sub_DA_Specification" || event.type == "Restart") {
     // The DA restarts from the beginning; the default designer policy
     // starts over from the seed/initial DOV rather than the last
@@ -382,9 +306,9 @@ void ConcordSystem::DeliverEvent(DaId da, const workflow::Event& event) {
 }
 
 void ConcordSystem::CrashWorkstation(NodeId workstation) {
-  auto it = workstations_.find(workstation.value());
-  if (it == workstations_.end()) return;
-  it->second.tm->Crash();
+  ServerPlane::Workstation* ws = plane_.FindWorkstation(workstation);
+  if (ws == nullptr) return;
+  ws->client->Crash();
   for (auto& [da_value, runtime] : das_) {
     if (runtime.workstation == workstation &&
         runtime.dm->state() != workflow::DmState::kCompleted) {
@@ -394,11 +318,11 @@ void ConcordSystem::CrashWorkstation(NodeId workstation) {
 }
 
 Status ConcordSystem::RecoverWorkstation(NodeId workstation) {
-  auto it = workstations_.find(workstation.value());
-  if (it == workstations_.end()) {
+  ServerPlane::Workstation* ws = plane_.FindWorkstation(workstation);
+  if (ws == nullptr) {
     return Status::NotFound("unknown workstation " + workstation.ToString());
   }
-  CONCORD_RETURN_NOT_OK(it->second.tm->Recover().status());
+  CONCORD_RETURN_NOT_OK(ws->client->Recover().status());
   for (auto& [da_value, runtime] : das_) {
     if (runtime.workstation != workstation) continue;
     if (runtime.dm->state() == workflow::DmState::kCrashed) {
@@ -412,7 +336,7 @@ Status ConcordSystem::RecoverWorkstation(NodeId workstation) {
     while (!runtime.pending_events.empty()) {
       workflow::Event event = runtime.pending_events.front();
       runtime.pending_events.pop_front();
-      network_->Send(server_node_, workstation).ok();
+      network().Send(server_node(), workstation).ok();
       runtime.dm->HandleEvent(event).ok();
     }
   }
@@ -420,41 +344,11 @@ Status ConcordSystem::RecoverWorkstation(NodeId workstation) {
 }
 
 void ConcordSystem::CrashServer() {
-  for (size_t shard = 0; shard < servers_.size(); ++shard) {
-    CrashServerNode(shard);
+  for (size_t shard = 0; shard < plane_.node_count(); ++shard) {
+    plane_.CrashNode(shard);
   }
 }
 
-Status ConcordSystem::RecoverServer() {
-  for (ServerNode& server : servers_) {
-    CONCORD_RETURN_NOT_OK(server.tm->Recover());
-  }
-  // One full rebuild of the CM (and, through it, every shard's
-  // scope-lock tables) from the coordinator's meta store.
-  return cm_->Recover();
-}
-
-void ConcordSystem::CrashServerNode(size_t shard) {
-  ServerNode& server = servers_[shard];
-  server.tm->Crash();
-  // The RPC at-most-once dedup table is volatile server memory: a
-  // retried pre-crash envelope re-executes after recovery (and gets
-  // the typed kUnknownDop answer for its wiped registration).
-  rpc_->ClearNodeState(server.node);
-  // The coordinator hosts the CM: its crash takes the cooperation
-  // state down with it. Other shards leave the CM running — their DAs
-  // elsewhere keep cooperating.
-  if (shard == 0) cm_->Crash();
-}
-
-Status ConcordSystem::RecoverServerNode(size_t shard) {
-  CONCORD_RETURN_NOT_OK(servers_[shard].tm->Recover());
-  if (shard == 0) return cm_->Recover();
-  // The CM never went down; only this node's lock tables restarted
-  // empty. Re-derive them from the persisted cooperation state (the
-  // writes route per DOV, so surviving shards just see idempotent
-  // re-applies).
-  return cm_->ReestablishLocks();
-}
+Status ConcordSystem::RecoverServer() { return plane_.RecoverAll(); }
 
 }  // namespace concord::core

@@ -4,8 +4,8 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -14,18 +14,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "cooperation/cooperation_manager.h"
-#include "rpc/invalidation.h"
-#include "rpc/network.h"
-#include "rpc/transactional_rpc.h"
-#include "storage/repository.h"
-#include "storage/repository_router.h"
-#include "txn/client_tm.h"
-#include "txn/lock_router.h"
-#include "txn/placement.h"
-#include "txn/remote_server_stub.h"
-#include "txn/server_tm.h"
-#include "txn/shard_router.h"
+#include "core/server_plane.h"
 #include "vlsi/tools.h"
 #include "workflow/constraints.h"
 #include "workflow/design_manager.h"
@@ -61,14 +50,13 @@ struct SystemConfig {
   bool pin_executor_cores = false;
 };
 
-/// The assembled CONCORD system (Fig. 8): a server *plane* of one or
-/// more nodes — each carrying a repository shard and a server-TM, with
-/// the CM and the placement authority on the coordinator (node 0) —
-/// one client-TM per workstation, one DM per DA. This facade is the
-/// public API the examples and benchmarks program against; it owns all
-/// managers and routes cooperation events from the CM to the DMs over
-/// the simulated LAN.
-class ConcordSystem : public txn::ScopeAuthority {
+/// The assembled CONCORD system (Fig. 8): a ServerPlane of one or more
+/// nodes — each carrying a repository shard and a server-TM, with the
+/// CM and the placement authority on the coordinator (node 0) — plus
+/// one DM per DA and the VLSI tools on top. This facade is the public
+/// API the examples and benchmarks program against; it routes
+/// cooperation events from the CM to the DMs over the simulated LAN.
+class ConcordSystem {
  public:
   explicit ConcordSystem(SystemConfig config = SystemConfig{});
   ~ConcordSystem();
@@ -78,10 +66,10 @@ class ConcordSystem : public txn::ScopeAuthority {
   // --- Topology -------------------------------------------------------
 
   /// Coordinator node (shard 0; hosts the CM and placement authority).
-  NodeId server_node() const { return server_node_; }
-  size_t server_node_count() const { return servers_.size(); }
+  NodeId server_node() const { return plane_.coordinator(); }
+  size_t server_node_count() const { return plane_.node_count(); }
   /// Node id of server shard `shard`.
-  NodeId server_node_at(size_t shard) const { return servers_[shard].node; }
+  NodeId server_node_at(size_t shard) { return plane_.shard(shard).node; }
   /// Registers a designer workstation (client-TM included).
   NodeId AddWorkstation(const std::string& name);
 
@@ -127,25 +115,28 @@ class ConcordSystem : public txn::ScopeAuthority {
 
   // --- Components -------------------------------------------------------
 
-  SimClock& clock() { return clock_; }
+  /// The server plane: shards, CM, workstations, node crash/recover.
+  ServerPlane& plane() { return plane_; }
+  SimClock& clock() { return plane_.clock(); }
   Rng& rng() { return rng_; }
-  rpc::Network& network() { return *network_; }
+  rpc::Network& network() { return plane_.network(); }
   /// The transactional-RPC channel every client<->server TM envelope
   /// rides; its stats count the server round trips (and their retries
   /// under loss) of all checkout/checkin/begin/commit/abort traffic.
-  rpc::TransactionalRpc& rpc() { return *rpc_; }
-  rpc::InvalidationBus& invalidation_bus() { return *invalidation_bus_; }
+  rpc::TransactionalRpc& rpc() { return plane_.rpc(); }
+  rpc::InvalidationBus& invalidation_bus() { return plane_.bus(); }
   /// Coordinator-shard components (the whole system when
   /// server_nodes == 1).
-  storage::Repository& repository() { return *servers_[0].repository; }
-  txn::ServerTm& server_tm() { return *servers_[0].tm; }
+  storage::Repository& repository() { return repository_at(0); }
+  txn::ServerTm& server_tm() { return server_tm_at(0); }
   /// Per-shard components of the server plane.
   storage::Repository& repository_at(size_t shard) {
-    return *servers_[shard].repository;
+    return *plane_.shard(shard).repo;
   }
-  txn::ServerTm& server_tm_at(size_t shard) { return *servers_[shard].tm; }
-  txn::PlacementMap& placement() { return placement_; }
-  cooperation::CooperationManager& cm() { return *cm_; }
+  txn::ServerTm& server_tm_at(size_t shard) { return *plane_.shard(shard).tm; }
+  txn::PlacementMap& placement() { return plane_.placement(); }
+  cooperation::CooperationManager& cm() { return plane_.cm(); }
+  /// `workstation` must come from AddWorkstation.
   txn::ClientTm& client_tm(NodeId workstation);
   workflow::DesignManager& dm(DaId da);
   bool HasDm(DaId da) const { return das_.count(da.value()) > 0; }
@@ -167,21 +158,10 @@ class ConcordSystem : public txn::ScopeAuthority {
 
   /// Crashes the whole server plane: repositories, server-TM lock
   /// tables and CM state are volatile; WAL + meta store survive and
-  /// recovery rebuilds all of it.
+  /// recovery rebuilds all of it. One node alone crashes through
+  /// plane().CrashNode / RecoverNode.
   void CrashServer();
   Status RecoverServer();
-
-  /// Crashes ONE server node of the plane; the other shards keep
-  /// serving their DAs (crashing shard 0 also takes down the CM and
-  /// the placement authority hosted there). Recovery replays the
-  /// node's repository and — for a non-coordinator node — re-derives
-  /// its lock tables from the CM's persisted state.
-  void CrashServerNode(size_t shard);
-  Status RecoverServerNode(size_t shard);
-
-  // --- ScopeAuthority (forwards to the CM) ---------------------------
-
-  bool InScope(DaId da, DovId dov) override;
 
  private:
   struct DaRuntime {
@@ -207,43 +187,12 @@ class ConcordSystem : public txn::ScopeAuthority {
   void DeliverEvent(DaId da, const workflow::Event& event);
   Result<DaRuntime*> RuntimeOf(DaId da);
 
-  /// One node of the server plane: its own repository shard (DOV ids
-  /// namespaced by shard index) fronted by its own server-TM.
-  struct ServerNode {
-    NodeId node;
-    std::unique_ptr<storage::Repository> repository;
-    std::unique_ptr<txn::ServerTm> tm;
-  };
-
-  /// One registered workstation: per-server-node stubs, the placement
-  /// cache, and the client-TM routing across them.
-  struct Workstation {
-    std::vector<std::unique_ptr<txn::RemoteServerStub>> stubs;
-    std::unique_ptr<txn::PlacementClient> placement;
-    std::unique_ptr<txn::ClientTm> tm;
-  };
-
   SystemConfig config_;
-  SimClock clock_;
   Rng rng_;
-  std::unique_ptr<rpc::Network> network_;
-  NodeId server_node_;
-  /// Reliable channel for the ServerService envelopes (at-most-once
-  /// dedup lives callee-side; CrashServer wipes it like any other
-  /// volatile server memory).
-  std::unique_ptr<rpc::TransactionalRpc> rpc_;
-  /// Server->workstation push channel for DOV-cache invalidations.
-  /// Must outlive the client-TMs (they unsubscribe in their dtors), so
-  /// it is declared before workstations_.
-  std::unique_ptr<rpc::InvalidationBus> invalidation_bus_;
-  /// The server plane, shard-index order; servers_[0] is the
-  /// coordinator (hosts the CM, placement authority and meta store).
-  std::vector<ServerNode> servers_;
-  /// DA -> server-node placement, driven by the CM.
-  txn::PlacementMap placement_;
-  std::unique_ptr<cooperation::CooperationManager> cm_;
-  std::unique_ptr<vlsi::ToolBox> toolbox_;
+  /// Filled by the plane's schema callback, so declared before plane_.
   vlsi::VlsiDots dots_;
+  ServerPlane plane_;
+  std::unique_ptr<vlsi::ToolBox> toolbox_;
   workflow::ConstraintSet constraints_;
   /// Optional shared executor pool for DM script scheduling.
   workflow::ExecutorPool* executor_pool_ = nullptr;
@@ -252,9 +201,6 @@ class ConcordSystem : public txn::ScopeAuthority {
   /// held while calling into the CM's event sinks.
   mutable Mutex tool_mu_;
 
-  /// Per-workstation runtime; every client-TM talks to the plane only
-  /// through its own stubs (declared inside so they outlive the TM).
-  std::map<uint64_t, Workstation> workstations_;
   std::map<uint64_t, DaRuntime> das_;
 };
 

@@ -15,10 +15,10 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "storage/object.h"
 #include "storage/schema.h"
 #include "storage/version.h"
-#include "txn/remote_server_stub.h"
 
 namespace concord::sim {
 
@@ -175,7 +175,8 @@ void InvariantChecker::VerifyAgainst(ScalePlane* plane, bool only_up_nodes) {
     if (!record.ok()) {
       std::string parts;
       for (size_t p : acked.participants) {
-        parts += (parts.empty() ? "" : ",") + std::to_string(p);
+        if (!parts.empty()) parts += ',';
+        parts += std::to_string(p);
       }
       AddViolationOnce(ViolationClass::kLostCommit, acked.dov.value(),
                        "acked DOV " + std::to_string(acked.dov.value()) +
@@ -269,113 +270,30 @@ size_t InvariantChecker::acked_commits() const {
 
 // --- ScalePlane --------------------------------------------------------------
 
+namespace {
+
+// "cell" versions carry the payload; the root DA is typed "chip",
+// which cells are parts of (Create_Sub_DA's part-of check).
+void DefineCellChipSchema(storage::SchemaCatalog* schema) {
+  auto* cell = schema->DefineType("cell");
+  cell->AddAttr({"value", storage::AttrType::kInt, true, 0.0, 1e9});
+  auto* chip = schema->DefineType("chip");
+  chip->AddAttr({"value", storage::AttrType::kInt, true, 0.0, 1e9});
+  chip->AddPart({cell->id(), 0, 1 << 20});
+}
+
+}  // namespace
+
 ScalePlane::ScalePlane(const ScaleConfig& config)
-    : config_(config),
-      network_(&clock_, config.seed ^ 0x9e3779b9),
-      rpc_(&network_) {
-  const size_t nodes = std::max<size_t>(2, config_.server_nodes);
-  for (size_t s = 0; s < nodes; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->node = network_.AddNode(
-        s == 0 ? std::string("server") : "server" + std::to_string(s));
-    shard->repo = std::make_unique<storage::Repository>(&clock_);
-    shard->repo->set_dov_id_shard(static_cast<uint32_t>(s));
-    // Identical schema per shard (same call order, same DOT ids):
-    // "cell" versions carry the payload; the root DA is typed "chip",
-    // which cells are parts of (Create_Sub_DA's part-of check).
-    auto* cell = shard->repo->schema().DefineType("cell");
-    cell->AddAttr({"value", storage::AttrType::kInt, true, 0.0, 1e9});
-    auto* chip = shard->repo->schema().DefineType("chip");
-    chip->AddAttr({"value", storage::AttrType::kInt, true, 0.0, 1e9});
-    chip->AddPart({cell->id(), 0, 1 << 20});
-    cell_dot_ = cell->id();
-    root_dot_ = chip->id();
-    placement_.RegisterNode(shard->node);
-    shards_.push_back(std::move(shard));
+    : ServerPlane(config.seed ^ 0x9e3779b9,
+                  std::max<size_t>(2, config.server_nodes), config.partitions,
+                  /*pin_executor_cores=*/false, DefineCellChipSchema) {
+  const storage::SchemaCatalog& schema = shard(0).repo->schema();
+  cell_dot_ = (*schema.GetTypeByName("cell"))->id();
+  root_dot_ = (*schema.GetTypeByName("chip"))->id();
+  for (size_t w = 0; w < config.workstations; ++w) {
+    AddWorkstation(IndexedName("ws", static_cast<long long>(w)));
   }
-  bus_ = std::make_unique<rpc::InvalidationBus>(&network_, shards_[0]->node);
-  for (size_t s = 0; s < nodes; ++s) {
-    Shard& shard = *shards_[s];
-    shard.tm = std::make_unique<txn::ServerTm>(shard.repo.get(), &network_,
-                                               shard.node, this, bus_.get(),
-                                               config_.partitions);
-    shard.tm->JoinPlane(&placement_);
-    txn::RegisterServerService(shard.tm.get(), &rpc_);
-  }
-  placement_.SetLivenessProbe(
-      [this](NodeId node) { return network_.IsUp(node); });
-  txn::RegisterPlacementService(&placement_, &rpc_, shards_[0]->node);
-
-  std::vector<storage::Repository*> repos;
-  std::vector<txn::ServerLockTable*> lock_shards;
-  for (auto& shard : shards_) {
-    repos.push_back(shard->repo.get());
-    lock_shards.push_back(&shard->tm->locks());
-  }
-  cm_ = std::make_unique<cooperation::CooperationManager>(
-      storage::RepositoryRouter(std::move(repos)),
-      txn::LockRouter(std::move(lock_shards)), &placement_, &clock_);
-  cm_->SetEventSink([](DaId, const workflow::Event&) {});
-  // CM withdrawal/invalidation -> push to every workstation DOV cache,
-  // published from the node that owns the withdrawn DOV (the
-  // ConcordSystem wiring, replicated here).
-  cm_->SetWithdrawalSink(
-      [this](DaId da, DovId dov, bool invalidated, DovId replacement) {
-        rpc::InvalidationMessage message;
-        message.kind = invalidated
-                           ? rpc::InvalidationMessage::Kind::kInvalidated
-                           : rpc::InvalidationMessage::Kind::kWithdrawn;
-        message.dov = dov;
-        message.origin_da = da;
-        message.replacement = replacement;
-        message.origin_node =
-            shards_[DovShardClamped(dov, shards_.size())]->node;
-        bus_->Publish(message);
-      });
-
-  for (size_t w = 0; w < config_.workstations; ++w) {
-    auto ws = std::make_unique<Workstation>();
-    ws->node = network_.AddNode("ws" + std::to_string(w));
-    std::vector<std::pair<NodeId, txn::ServerService*>> routes;
-    for (auto& shard : shards_) {
-      ws->stubs.push_back(std::make_unique<txn::RemoteServerStub>(
-          &rpc_, ws->node, shard->node));
-      routes.emplace_back(shard->node, ws->stubs.back().get());
-    }
-    ws->placement_client = std::make_unique<txn::PlacementClient>(
-        &rpc_, ws->node, shards_[0]->node);
-    ws->client = std::make_unique<txn::ClientTm>(
-        txn::ShardRouter(std::move(routes), ws->placement_client.get()),
-        &network_, ws->node, &clock_, bus_.get());
-    workstations_.push_back(std::move(ws));
-  }
-}
-
-ScalePlane::~ScalePlane() = default;
-
-bool ScalePlane::InScope(DaId da, DovId dov) {
-  return cm_ ? cm_->InScope(da, dov) : true;
-}
-
-void ScalePlane::CrashNode(size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  shard.up.store(false, std::memory_order_release);
-  shard.tm->Crash();
-  // The RPC at-most-once dedup table is volatile server memory.
-  rpc_.ClearNodeState(shard.node);
-  // The coordinator hosts the CM: its crash takes cooperation state
-  // down with it; other shards leave the CM running.
-  if (shard_index == 0) cm_->Crash();
-}
-
-Status ScalePlane::RecoverNode(size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  CONCORD_RETURN_NOT_OK(shard.tm->Recover());
-  shard.up.store(true, std::memory_order_release);
-  if (shard_index == 0) return cm_->Recover();
-  // The CM never went down; re-derive this node's restarted scope-lock
-  // tables from persisted cooperation state.
-  return cm_->ReestablishLocks();
 }
 
 // --- ScaleHarness ------------------------------------------------------------

@@ -10,20 +10,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/clock.h"
+#include "common/ids.h"
 #include "common/random.h"
+#include "common/status.h"
 #include "common/sync.h"
-#include "cooperation/cooperation_manager.h"
-#include "rpc/invalidation.h"
-#include "rpc/network.h"
-#include "rpc/transactional_rpc.h"
-#include "storage/repository.h"
-#include "txn/client_tm.h"
-#include "txn/placement.h"
-#include "txn/remote_server_stub.h"
-#include "txn/scope_authority.h"
-#include "txn/server_tm.h"
-#include "txn/shard_router.h"
+#include "core/server_plane.h"
 
 namespace concord::sim {
 
@@ -193,61 +184,17 @@ class InvariantChecker {
   size_t counts_[6] GUARDED_BY(mu_) = {0, 0, 0, 0, 0, 0};
 };
 
-/// The full multi-node plane the harness drives: N server nodes (each a
-/// repository shard + partitioned ServerTm + ServerService endpoint),
-/// the CooperationManager as plane-wide scope authority (withdrawals
-/// fan out to every workstation DOV cache over the invalidation bus),
-/// the placement authority on the coordinator, and one workstation
-/// (ClientTm) per designer thread.
-class ScalePlane : public txn::ScopeAuthority {
+/// The full multi-node plane the harness drives: a core::ServerPlane of
+/// at least two nodes carrying the harness's cell/chip schema, with one
+/// workstation (ws0..wsN) per designer thread.
+class ScalePlane : public core::ServerPlane {
  public:
-  struct Shard {
-    NodeId node;
-    std::unique_ptr<storage::Repository> repo;
-    std::unique_ptr<txn::ServerTm> tm;
-    std::atomic<bool> up{true};
-  };
-
-  struct Workstation {
-    NodeId node;
-    std::vector<std::unique_ptr<txn::RemoteServerStub>> stubs;
-    std::unique_ptr<txn::PlacementClient> placement_client;
-    std::unique_ptr<txn::ClientTm> client;
-  };
-
   explicit ScalePlane(const ScaleConfig& config);
-  ~ScalePlane() override;
 
-  bool InScope(DaId da, DovId dov) override;
-
-  /// Server-node crash: deterministic partition drain, volatile wipe,
-  /// RPC dedup loss; the coordinator takes the CM down with it.
-  void CrashNode(size_t shard);
-  /// WAL replay + (coordinator) CM rebuild or (other nodes) scope-lock
-  /// re-derivation from persisted cooperation state.
-  Status RecoverNode(size_t shard);
-
-  size_t node_count() const { return shards_.size(); }
-  Shard& shard(size_t s) { return *shards_[s]; }
-  Workstation& workstation(size_t w) { return *workstations_[w]; }
-  size_t workstation_count() const { return workstations_.size(); }
-  cooperation::CooperationManager& cm() { return *cm_; }
-  txn::PlacementMap& placement() { return placement_; }
-  rpc::Network& network() { return network_; }
-  rpc::InvalidationBus& bus() { return *bus_; }
   DotId root_dot() const { return root_dot_; }
   DotId cell_dot() const { return cell_dot_; }
 
  private:
-  ScaleConfig config_;
-  SimClock clock_;
-  rpc::Network network_;
-  rpc::TransactionalRpc rpc_;
-  txn::PlacementMap placement_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<rpc::InvalidationBus> bus_;
-  std::unique_ptr<cooperation::CooperationManager> cm_;
-  std::vector<std::unique_ptr<Workstation>> workstations_;
   DotId root_dot_;
   DotId cell_dot_;
 };

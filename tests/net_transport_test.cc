@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "net/address.h"
 #include "net/frame.h"
 #include "net/rpc_client.h"
@@ -250,7 +251,7 @@ TEST(DedupCache, HitRefreshesAndCounts) {
 TEST(DedupCache, EnforcesPerPeerBound) {
   rpc::DedupCache cache(3);
   for (uint64_t call = 0; call < 10; ++call) {
-    cache.Insert(1, call, "r" + std::to_string(call));
+    cache.Insert(1, call, IndexedName("r", static_cast<long long>(call)));
   }
   EXPECT_EQ(cache.PeerEntries(1), 3u);
   EXPECT_EQ(cache.stats().evictions, 7u);

@@ -206,6 +206,129 @@ TEST(SystemTest, DopsFailWhileServerDownAndResumeAfterRecovery) {
       system.cm().Evaluate(*da, *system.CurrentVersion(*da))->is_final());
 }
 
+// --- Two-node server plane ------------------------------------------------
+
+/// Creates and starts a module sub-DA of `top` on its own workstation.
+DaId StartModuleSubDa(ConcordSystem* system, DaId top, int i) {
+  cooperation::DaDescription desc;
+  desc.dot = system->dots().module;
+  desc.spec = sim::MakeSpec(1e9, 0, vlsi::kDomainFloorplan);
+  desc.designer = DesignerId(2 + i);
+  desc.dc = sim::MakeChipPlanningScript(1);
+  desc.workstation = system->AddWorkstation(IndexedName("sub", i));
+  auto sub = system->CreateSubDa(top, desc);
+  EXPECT_TRUE(sub.ok());
+  storage::DesignObject seed(system->dots().module);
+  seed.SetAttr(vlsi::kAttrName, IndexedName("m", i));
+  seed.SetAttr(vlsi::kAttrDomain, vlsi::kDomainBehavior);
+  seed.SetAttr(vlsi::kAttrBehavior, "MODULE m COMPLEXITY 3");
+  seed.SetAttr(vlsi::kAttrPinCount, int64_t{4});
+  EXPECT_TRUE(system->SetSeedObject(*sub, seed).ok());
+  EXPECT_TRUE(system->StartDa(*sub).ok());
+  return *sub;
+}
+
+/// Checks `dov` out for `da` from the server (the workstation cache is
+/// cleared first, so the scope test really runs on the owning node).
+Status CheckoutFromServer(ConcordSystem* system, DaId da, DovId dov) {
+  txn::ClientTm& tm = system->client_tm((*system->cm().GetDa(da))->workstation);
+  tm.cache().Clear();
+  CONCORD_ASSIGN_OR_RETURN(DopId dop, tm.BeginDop(da));
+  Status status = tm.Checkout(dop, dov);
+  tm.AbortDop(dop).ok();
+  return status;
+}
+
+TEST(SystemTest, ServerPlaneNodeCrashAndRecovery) {
+  SystemConfig config;
+  config.server_nodes = 2;
+  ConcordSystem system(config);
+  ServerPlane& plane = system.plane();
+  auto top = sim::SetupTopLevelDa(&system, "chip", 4, 1e9, 0);
+  ASSERT_TRUE(top.ok());
+  ASSERT_TRUE(system.StartDa(*top).ok());
+  DaId sub = StartModuleSubDa(&system, *top, 0);
+  // Least-loaded placement spreads the two DAs over the two nodes.
+  ASSERT_EQ(system.placement().HomeOf(*top), plane.shard(0).node);
+  ASSERT_EQ(system.placement().HomeOf(sub), plane.shard(1).node);
+  ASSERT_TRUE(system.RunDa(*top).ok());
+  ASSERT_TRUE(system.RunDa(sub).ok());
+  DovId top_dov = *system.CurrentVersion(*top);
+  DovId sub_dov = *system.CurrentVersion(sub);
+  ASSERT_EQ(DovShardOf(top_dov), 0u);
+  ASSERT_EQ(DovShardOf(sub_dov), 1u);
+
+  // Node 1 down: the CM (on node 0) and node 0's DAs keep serving.
+  plane.CrashNode(1);
+  EXPECT_FALSE(plane.shard(1).up.load());
+  EXPECT_FALSE(system.cm().InScope(sub, sub_dov));  // its lock table is gone
+  EXPECT_EQ(*system.cm().StateOf(sub), cooperation::DaState::kActive);
+  EXPECT_TRUE(system.cm().Evaluate(*top, top_dov).ok());
+  EXPECT_TRUE(CheckoutFromServer(&system, *top, top_dov).ok());
+
+  // Recovery re-derives node 1's scope locks from the CM's persisted
+  // state: the DA homed there checks its own DOV out again.
+  ASSERT_TRUE(plane.RecoverNode(1).ok());
+  EXPECT_TRUE(plane.shard(1).up.load());
+  EXPECT_TRUE(system.cm().InScope(sub, sub_dov));
+  uint64_t checkouts = system.server_tm_at(1).stats().checkouts;
+  EXPECT_TRUE(CheckoutFromServer(&system, sub, sub_dov).ok());
+  EXPECT_EQ(system.server_tm_at(1).stats().checkouts, checkouts + 1);
+
+  // The coordinator's crash takes the CM down; its recovery rebuilds
+  // the CM from the meta store, and every DA is found again.
+  plane.CrashNode(0);
+  EXPECT_FALSE(system.cm().GetDa(*top).ok());
+  ASSERT_TRUE(plane.RecoverNode(0).ok());
+  EXPECT_EQ(*system.cm().StateOf(*top), cooperation::DaState::kActive);
+  EXPECT_EQ(*system.cm().StateOf(sub), cooperation::DaState::kActive);
+  EXPECT_TRUE(CheckoutFromServer(&system, *top, top_dov).ok());
+  EXPECT_TRUE(CheckoutFromServer(&system, sub, sub_dov).ok());
+}
+
+TEST(SystemTest, WithdrawalOfShardOneDovEvictsEveryWorkstationCache) {
+  SystemConfig config;
+  config.server_nodes = 2;
+  ConcordSystem system(config);
+  ServerPlane& plane = system.plane();
+  auto top = sim::SetupTopLevelDa(&system, "top", 4, 1e9, 0);
+  ASSERT_TRUE(top.ok());
+  ASSERT_TRUE(system.StartDa(*top).ok());
+  DaId supporter = StartModuleSubDa(&system, *top, 0);
+  DaId requirer = StartModuleSubDa(&system, *top, 1);
+  ASSERT_EQ(system.placement().HomeOf(supporter), plane.shard(1).node);
+  ASSERT_TRUE(system.RunDa(supporter).ok());
+  DovId produced = *system.CurrentVersion(supporter);
+  ASSERT_EQ(DovShardOf(produced), 1u);
+  system.cm().Evaluate(supporter, produced).ok();
+  ASSERT_TRUE(system.cm().Require(requirer, supporter, {"goal_domain"}).ok());
+  ASSERT_TRUE(system.cm().Propagate(supporter, produced).ok());
+
+  // The supporter's workstation caches the DOV from its own checkin,
+  // the requirer's from a checkout.
+  txn::ClientTm& requirer_tm =
+      system.client_tm((*system.cm().GetDa(requirer))->workstation);
+  auto dop = requirer_tm.BeginDop(requirer);
+  ASSERT_TRUE(dop.ok());
+  ASSERT_TRUE(requirer_tm.Checkout(*dop, produced).ok());
+  requirer_tm.AbortDop(*dop).ok();
+  for (DaId da : {supporter, requirer}) {
+    NodeId ws = (*system.cm().GetDa(da))->workstation;
+    EXPECT_TRUE(system.client_tm(ws).cache().Contains(produced));
+  }
+
+  // The withdrawal is pushed from node 1 (the DOV's owner) to every
+  // subscribed workstation, and each one evicts it.
+  uint64_t deliveries = plane.bus().stats().deliveries;
+  ASSERT_TRUE(system.cm().WithdrawPropagation(supporter, produced).ok());
+  EXPECT_EQ(plane.bus().stats().deliveries,
+            deliveries + plane.workstation_count());
+  for (size_t w = 0; w < plane.workstation_count(); ++w) {
+    EXPECT_FALSE(plane.workstation(w).client->cache().Contains(produced))
+        << w;
+  }
+}
+
 // --- Cooperation through the full stack ---------------------------------------
 
 TEST(SystemTest, UsageRelationshipDeliversPreliminaryResultAcrossDas) {
