@@ -13,7 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "txn/remote_server_stub.h"
+#include "txn/server_service.h"
 
 namespace concord {
 namespace {
@@ -28,7 +28,8 @@ void BM_Commit_DopCycleByPlacement(benchmark::State& state) {
       colocated ? system.server_node() : system.AddWorkstation("remote");
   // A client TM for the chosen placement, behind its own service stub
   // (co-located stubs pay only intra-node hops, never the LAN).
-  txn::RemoteServerStub stub(&system.rpc(), ws, system.server_node());
+  txn::ServerStub stub(system.server_node(),
+                       system.rpc().Bind(ws, system.server_node()));
   txn::ClientTm tm(&stub, &system.network(), ws, &system.clock());
   storage::DesignObject obj(system.dots().module);
   obj.SetAttr(vlsi::kAttrName, "m");

@@ -13,8 +13,8 @@
 #include "storage/repository.h"
 #include "txn/client_tm.h"
 #include "txn/placement.h"
-#include "txn/remote_server_stub.h"
 #include "txn/scope_authority.h"
+#include "txn/server_service.h"
 #include "txn/server_tm.h"
 #include "txn/shard_router.h"
 
@@ -25,7 +25,7 @@ namespace concord::bench {
 /// namespaced per shard), server-TM and ServerService RPC endpoint —
 /// an invalidation bus, the placement authority on the coordinator,
 /// and one workstation/client-TM per benchmark thread (each routing
-/// through per-node RemoteServerStubs, so every server trip is a
+/// through per-node ServerStubs, so every server trip is a
 /// countable TransactionalRpc call on the link it takes), each with a
 /// seeded warm DOV owned by DA(t+1) on shard 0. Used by bench_cache,
 /// the client-TM scenarios in bench_concurrent_checkout, and the
@@ -45,7 +45,7 @@ struct TmEnv {
   txn::PlacementMap placement;
   std::vector<Shard> shards;
   std::unique_ptr<rpc::InvalidationBus> bus;
-  std::vector<std::unique_ptr<txn::RemoteServerStub>> stubs;
+  std::vector<std::unique_ptr<txn::ServerStub>> stubs;
   std::vector<std::unique_ptr<txn::PlacementClient>> placement_clients;
   std::vector<std::unique_ptr<txn::ClientTm>> clients;  // one per thread
   DotId dot;
@@ -77,22 +77,24 @@ struct TmEnv {
                                                  shard.node, &scope, bus.get(),
                                                  partitions);
       if (server_nodes > 1) shard.tm->JoinPlane(&placement);
-      txn::RegisterServerService(shard.tm.get(), &rpc);
+      rpc.RegisterHandler(shard.node, txn::kServerServiceMethod,
+                          txn::ServerServiceHandler(shard.tm.get()));
     }
     placement.SetLivenessProbe(
         [this](NodeId node) { return network.IsUp(node); });
-    txn::RegisterPlacementService(&placement, &rpc, server_node);
+    rpc.RegisterHandler(server_node, txn::kPlacementMethod,
+                        txn::PlacementHandler(&placement));
     server = shards.front().tm.get();
     for (int t = 0; t < threads; ++t) {
       NodeId ws = network.AddNode("ws" + std::to_string(t));
       std::vector<std::pair<NodeId, txn::ServerService*>> routes;
       for (Shard& shard : shards) {
-        stubs.push_back(
-            std::make_unique<txn::RemoteServerStub>(&rpc, ws, shard.node));
+        stubs.push_back(std::make_unique<txn::ServerStub>(
+            shard.node, rpc.Bind(ws, shard.node)));
         routes.emplace_back(shard.node, stubs.back().get());
       }
       placement_clients.push_back(
-          std::make_unique<txn::PlacementClient>(&rpc, ws, server_node));
+          std::make_unique<txn::PlacementClient>(rpc.Bind(ws, server_node)));
       clients.push_back(std::make_unique<txn::ClientTm>(
           txn::ShardRouter(std::move(routes), placement_clients.back().get()),
           &network, ws, &clock, bus.get()));

@@ -29,12 +29,6 @@ class Rng {
   /// Bernoulli draw with probability `p`.
   bool Chance(double p) { return NextDouble() < p; }
 
-  /// Exponentially distributed value with the given mean (> 0).
-  double Exponential(double mean) {
-    assert(mean > 0);
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
-  }
-
   /// Picks a uniformly random element index for a container of `size`.
   size_t Index(size_t size) {
     assert(size > 0);

@@ -139,7 +139,6 @@ class ConcordSystem {
   /// `workstation` must come from AddWorkstation.
   txn::ClientTm& client_tm(NodeId workstation);
   workflow::DesignManager& dm(DaId da);
-  bool HasDm(DaId da) const { return das_.count(da.value()) > 0; }
   const vlsi::ToolBox& toolbox() const { return *toolbox_; }
   const vlsi::VlsiDots& dots() const { return dots_; }
   workflow::ConstraintSet& constraints() { return constraints_; }

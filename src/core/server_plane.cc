@@ -36,7 +36,8 @@ ServerPlane::ServerPlane(uint64_t network_seed, size_t nodes, int partitions,
     if (sharded) shard->tm->JoinPlane(&placement_);
     // Server-side half of the ServerService protocol: every client-TM
     // envelope lands here as a real, countable RPC.
-    txn::RegisterServerService(shard->tm.get(), &rpc_);
+    rpc_.RegisterHandler(shard->node, txn::kServerServiceMethod,
+                         txn::ServerServiceHandler(shard->tm.get()));
     repos.push_back(shard->repo.get());
     lock_shards.push_back(&shard->tm->locks());
   }
@@ -44,7 +45,8 @@ ServerPlane::ServerPlane(uint64_t network_seed, size_t nodes, int partitions,
   // DAs are never homed on a node currently crashed.
   placement_.SetLivenessProbe(
       [this](NodeId node) { return network_.IsUp(node); });
-  txn::RegisterPlacementService(&placement_, &rpc_, coordinator());
+  rpc_.RegisterHandler(coordinator(), txn::kPlacementMethod,
+                       txn::PlacementHandler(&placement_));
 
   cm_ = std::make_unique<cooperation::CooperationManager>(
       storage::RepositoryRouter(std::move(repos)),
@@ -80,12 +82,12 @@ ServerPlane::Workstation& ServerPlane::AddWorkstation(const std::string& name) {
   // the link the request actually takes.
   std::vector<std::pair<NodeId, txn::ServerService*>> routes;
   for (auto& shard : shards_) {
-    ws->stubs.push_back(
-        std::make_unique<txn::RemoteServerStub>(&rpc_, ws->node, shard->node));
+    ws->stubs.push_back(std::make_unique<txn::ServerStub>(
+        shard->node, rpc_.Bind(ws->node, shard->node)));
     routes.emplace_back(shard->node, ws->stubs.back().get());
   }
-  ws->placement_client =
-      std::make_unique<txn::PlacementClient>(&rpc_, ws->node, coordinator());
+  ws->placement_client = std::make_unique<txn::PlacementClient>(
+      rpc_.Bind(ws->node, coordinator()));
   ws->client = std::make_unique<txn::ClientTm>(
       txn::ShardRouter(std::move(routes), ws->placement_client.get()),
       &network_, ws->node, &clock_, bus_.get());

@@ -19,8 +19,8 @@
 #include "storage/schema.h"
 #include "txn/client_tm.h"
 #include "txn/placement.h"
-#include "txn/remote_server_stub.h"
 #include "txn/scope_authority.h"
+#include "txn/server_service.h"
 #include "txn/server_tm.h"
 #include "txn/shard_router.h"
 
@@ -54,7 +54,7 @@ class ServerPlane : public txn::ScopeAuthority {
 
   struct Workstation {
     NodeId node;
-    std::vector<std::unique_ptr<txn::RemoteServerStub>> stubs;
+    std::vector<std::unique_ptr<txn::ServerStub>> stubs;
     std::unique_ptr<txn::PlacementClient> placement_client;
     std::unique_ptr<txn::ClientTm> client;
   };

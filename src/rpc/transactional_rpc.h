@@ -27,6 +27,13 @@ struct RpcStats {
   std::atomic<uint64_t> duplicate_suppressed{0};
 };
 
+/// The transport seam every client-side stub sits on: one call to a
+/// bound endpoint, `method` run there on `request`, its reply or the
+/// transport's error returned. TransactionalRpc::Bind makes one for the
+/// simulated LAN; a socket client binds RpcChannel::Call the same way.
+using CallFn = std::function<Result<std::string>(const std::string& method,
+                                                 const std::string& request)>;
+
 /// Reliable request/response on top of the lossy Network. The paper
 /// assumes "reliable communication protocols (transactional RPC, ...)
 /// which insulate the cooperation protocols from network failures and
@@ -69,6 +76,15 @@ class TransactionalRpc {
   /// once effect on the callee per call id.
   Result<std::string> Call(NodeId from, NodeId to, const std::string& method,
                            const std::string& request);
+
+  /// `Call(from, to, ...)` with both ends fixed: the seam a stub or a
+  /// placement client on `from` uses to reach `to`.
+  CallFn Bind(NodeId from, NodeId to) {
+    return [this, from, to](const std::string& method,
+                            const std::string& request) {
+      return Call(from, to, method, request);
+    };
+  }
 
   /// Drops the callee-side dedup state for a node — part of simulating
   /// a crash of that machine (the at-most-once table is volatile

@@ -118,21 +118,17 @@ PlacementStats PlacementMap::stats() const {
   return stats_;
 }
 
-void RegisterPlacementService(const PlacementMap* placement,
-                              rpc::TransactionalRpc* rpc,
-                              NodeId authority_node) {
-  rpc->RegisterHandler(
-      authority_node, kPlacementMethod,
-      [placement](const std::string& request) -> Result<std::string> {
-        ByteReader in(request);
-        uint64_t da_value = 0;
-        if (!in.ReadFixed64(&da_value) || in.remaining() != 0) {
-          return Status::InvalidArgument("malformed placement lookup");
-        }
-        std::string reply;
-        PutFixed64(&reply, placement->HomeOf(DaId(da_value)).value());
-        return reply;
-      });
+rpc::TransactionalRpc::Handler PlacementHandler(const PlacementMap* placement) {
+  return [placement](const std::string& request) -> Result<std::string> {
+    ByteReader in(request);
+    uint64_t da_value = 0;
+    if (!in.ReadFixed64(&da_value) || in.remaining() != 0) {
+      return Status::InvalidArgument("malformed placement lookup");
+    }
+    std::string reply;
+    PutFixed64(&reply, placement->HomeOf(DaId(da_value)).value());
+    return reply;
+  };
 }
 
 Result<NodeId> PlacementClient::HomeOf(DaId da) {
@@ -147,9 +143,7 @@ Result<NodeId> PlacementClient::HomeOf(DaId da) {
   }
   std::string request;
   PutFixed64(&request, da.value());
-  CONCORD_ASSIGN_OR_RETURN(std::string wire,
-                           rpc_->Call(client_, authority_, kPlacementMethod,
-                                      request));
+  CONCORD_ASSIGN_OR_RETURN(std::string wire, call_(kPlacementMethod, request));
   ByteReader in(wire);
   uint64_t node_value = 0;
   if (!in.ReadFixed64(&node_value)) {

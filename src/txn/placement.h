@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -93,11 +94,9 @@ class PlacementMap {
 /// under (hosted on the coordinator node next to the CM).
 inline constexpr const char* kPlacementMethod = "txn.Placement/HomeOf";
 
-/// Registers the server-side lookup handler for `placement` on
-/// `authority_node`.
-void RegisterPlacementService(const PlacementMap* placement,
-                              rpc::TransactionalRpc* rpc,
-                              NodeId authority_node);
+/// The authority's lookup handler for `placement`: register it under
+/// kPlacementMethod on the authority node.
+rpc::TransactionalRpc::Handler PlacementHandler(const PlacementMap* placement);
 
 struct PlacementClientStats {
   uint64_t lookups = 0;
@@ -111,15 +110,14 @@ struct PlacementClientStats {
 /// and cached; every later envelope to that DA routes locally. The
 /// cache can go stale when the CM migrates a DA — the owning server
 /// answers kWrongShard, the client-TM calls Forget() and the next
-/// lookup re-fetches.
+/// lookup re-fetches. `call` is bound to the authority (on the
+/// simulated LAN, TransactionalRpc::Bind).
 ///
 /// Thread-safe (one designer thread per workstation is the norm, but
 /// recovery and invalidation paths may race).
 class PlacementClient {
  public:
-  PlacementClient(rpc::TransactionalRpc* rpc, NodeId client_node,
-                  NodeId authority_node)
-      : rpc_(rpc), client_(client_node), authority_(authority_node) {}
+  explicit PlacementClient(rpc::CallFn call) : call_(std::move(call)) {}
   PlacementClient(const PlacementClient&) = delete;
   PlacementClient& operator=(const PlacementClient&) = delete;
 
@@ -133,9 +131,7 @@ class PlacementClient {
   PlacementClientStats stats() const;
 
  private:
-  rpc::TransactionalRpc* rpc_;
-  NodeId client_;
-  NodeId authority_;
+  const rpc::CallFn call_;
   /// Leaf lock: released before the RPC round trip in HomeOf.
   mutable Mutex mu_;
   std::unordered_map<DaId, NodeId> cache_ GUARDED_BY(mu_);

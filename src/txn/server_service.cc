@@ -392,4 +392,23 @@ Result<BatchReply> DecodeBatchReply(std::string_view payload) {
   return reply;
 }
 
+// --- Stub and handler -----------------------------------------------------
+
+Result<BatchReply> ServerStub::Execute(const BatchRequest& batch) {
+  CONCORD_ASSIGN_OR_RETURN(
+      std::string wire, call_(kServerServiceMethod, EncodeBatchRequest(batch)));
+  CONCORD_ASSIGN_OR_RETURN(BatchReply reply, DecodeBatchReply(wire));
+  if (reply.ops.size() != batch.ops.size()) {
+    return Status::Internal("server-service reply arity mismatch");
+  }
+  return reply;
+}
+
+rpc::TransactionalRpc::Handler ServerServiceHandler(ServerTm* server) {
+  return [server](const std::string& request) -> Result<std::string> {
+    CONCORD_ASSIGN_OR_RETURN(BatchRequest batch, DecodeBatchRequest(request));
+    return EncodeBatchReply(DispatchBatch(*server, batch));
+  };
+}
+
 }  // namespace concord::txn

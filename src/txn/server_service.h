@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "common/ids.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "rpc/transactional_rpc.h"
 #include "storage/version.h"
 
 namespace concord::txn {
@@ -26,9 +28,10 @@ namespace concord::txn {
 /// a BatchRequest envelope that ships several requests in ONE server
 /// round trip. Everything is serializable with the common/serde codec
 /// (see EncodeBatchRequest below), so the same envelope runs marshalled
-/// over the simulated LAN (RemoteServerStub) or a real socket
-/// (net::NetServerService) without the caller noticing anything but
-/// the message counters.
+/// through one ServerStub over either transport — the simulated LAN
+/// (TransactionalRpc::Bind) or a real socket (RpcChannel::Call) — and
+/// is served by one ServerServiceHandler, without the caller noticing
+/// anything but the message counters.
 ///
 /// The 2PC legs of a critical interaction ride the same envelope:
 /// PrepareRequest is the server-side phase-1 vote, DecideRequest the
@@ -174,8 +177,31 @@ class ServerService {
   virtual Result<BatchReply> Execute(const BatchRequest& batch) = 0;
 };
 
+/// The one client-side stub: encodes the envelope, runs
+/// kServerServiceMethod through `call`, decodes the reply and checks
+/// it answers every request. The transport is whatever `call` is bound
+/// to; a retried call's reply comes from the server's at-most-once
+/// table, so a checkin never executes twice.
+class ServerStub final : public ServerService {
+ public:
+  /// `server_node` is the NodeId the far end serves (shard routing and
+  /// message accounting key off it).
+  ServerStub(NodeId server_node, rpc::CallFn call)
+      : server_node_(server_node), call_(std::move(call)) {}
+
+  NodeId server_node() const override { return server_node_; }
+
+  /// Transport errors come back unchanged; an undecodable reply is
+  /// kInvalidArgument, a reply of the wrong arity kInternal.
+  Result<BatchReply> Execute(const BatchRequest& batch) override;
+
+ private:
+  const NodeId server_node_;
+  const rpc::CallFn call_;
+};
+
 /// Executes the envelope against a server-TM: the shared server-side
-/// dispatch behind every endpoint (RegisterServerService, concordd).
+/// dispatch behind every endpoint (ServerServiceHandler below).
 /// One loop serves every envelope shape. An independent envelope's data
 /// ops go to ServerTm::Execute in one call; a dependent envelope's go
 /// one op per call, so the skip-after-failure rule documented on
@@ -195,6 +221,14 @@ Result<BatchReply> DecodeBatchReply(std::string_view payload);
 
 /// RPC method name the server-side endpoint registers under.
 inline constexpr const char* kServerServiceMethod = "txn.ServerService/Execute";
+
+/// The one server-side handler: decodes a BatchRequest, runs
+/// DispatchBatch against `server` and encodes the BatchReply. Register
+/// it under kServerServiceMethod on either transport. Application
+/// statuses travel INSIDE the (OK) reply, so the transport's dedup table
+/// caches every executed envelope: a retry after a lost reply re-sends
+/// the recorded outcome instead of re-executing.
+rpc::TransactionalRpc::Handler ServerServiceHandler(ServerTm* server);
 
 }  // namespace concord::txn
 

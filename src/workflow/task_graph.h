@@ -137,10 +137,6 @@ class TaskGraph {
   void MarkFailed(TaskNodeId id);
 
   size_t running() const { return running_; }
-  /// True when nothing is ready or running. Combined with
-  /// AllTerminal() this is "the graph finished"; without it, the graph
-  /// is stuck on a retry point or cancellation.
-  bool Quiescent() const { return ready_.empty() && running_ == 0; }
   /// Every node is kDone / kFailed / kCancelled.
   bool AllTerminal() const;
   /// Every node is kDone.

@@ -18,7 +18,7 @@
 #include "storage/repository.h"
 #include "txn/client_tm.h"
 #include "txn/dov_cache.h"
-#include "txn/remote_server_stub.h"
+#include "txn/server_service.h"
 #include "txn/server_tm.h"
 
 namespace concord::txn {
@@ -92,7 +92,7 @@ TEST(DovCacheTest, ClearDropsEntriesAndTombstones) {
 
 /// Manual assembly of the server stack (repository + server-TM + CM +
 /// invalidation bus + ServerService RPC endpoint) with two
-/// workstations behind RemoteServerStubs, mirroring ConcordSystem's
+/// workstations behind ServerStubs, mirroring ConcordSystem's
 /// wiring but with direct access to every component.
 class CacheCoherenceTest : public ::testing::Test {
  protected:
@@ -134,9 +134,12 @@ class CacheCoherenceTest : public ::testing::Test {
           message.replacement = replacement;
           bus_->Publish(message);
         });
-    RegisterServerService(server_.get(), &rpc_);
-    stub1_ = std::make_unique<RemoteServerStub>(&rpc_, ws1_, server_node_);
-    stub2_ = std::make_unique<RemoteServerStub>(&rpc_, ws2_, server_node_);
+    rpc_.RegisterHandler(server_node_, kServerServiceMethod,
+                         ServerServiceHandler(server_.get()));
+    stub1_ = std::make_unique<ServerStub>(server_node_,
+                                          rpc_.Bind(ws1_, server_node_));
+    stub2_ = std::make_unique<ServerStub>(server_node_,
+                                          rpc_.Bind(ws2_, server_node_));
     client1_ = std::make_unique<ClientTm>(stub1_.get(), &network_, ws1_,
                                           &clock_, bus_.get());
     client2_ = std::make_unique<ClientTm>(stub2_.get(), &network_, ws2_,
@@ -203,8 +206,8 @@ class CacheCoherenceTest : public ::testing::Test {
   std::unique_ptr<rpc::InvalidationBus> bus_;
   std::unique_ptr<ServerTm> server_;
   std::unique_ptr<cooperation::CooperationManager> cm_;
-  std::unique_ptr<RemoteServerStub> stub1_;
-  std::unique_ptr<RemoteServerStub> stub2_;
+  std::unique_ptr<ServerStub> stub1_;
+  std::unique_ptr<ServerStub> stub2_;
   std::unique_ptr<ClientTm> client1_;
   std::unique_ptr<ClientTm> client2_;
   DaId top_, supporter_, requirer_;
@@ -569,15 +572,15 @@ TEST_F(CacheCoherenceTest, ConcurrentMultiDesignerServerTm) {
   constexpr int kIterations = 50;
   std::vector<DaId> das;
   std::vector<DovId> dovs;
-  std::vector<std::unique_ptr<RemoteServerStub>> stubs;  // outlive clients
+  std::vector<std::unique_ptr<ServerStub>> stubs;  // outlive clients
   std::vector<std::unique_ptr<ClientTm>> clients;
   for (int i = 0; i < kDesigners; ++i) {
     NodeId ws = network_.AddNode("ws_t" + std::to_string(i));
     DaId da = SubDa(top_, module_, ws);
     das.push_back(da);
     dovs.push_back(MintDov(da, 10.0 + i));
-    stubs.push_back(
-        std::make_unique<RemoteServerStub>(&rpc_, ws, server_node_));
+    stubs.push_back(std::make_unique<ServerStub>(
+        server_node_, rpc_.Bind(ws, server_node_)));
     clients.push_back(std::make_unique<ClientTm>(stubs.back().get(),
                                                  &network_, ws, &clock_,
                                                  bus_.get()));

@@ -10,7 +10,7 @@
 #include "storage/repository.h"
 #include "txn/client_tm.h"
 #include "txn/lock_manager.h"
-#include "txn/remote_server_stub.h"
+#include "txn/server_service.h"
 #include "txn/server_tm.h"
 
 namespace concord {
@@ -28,9 +28,10 @@ class HandoverTest : public ::testing::Test {
     dot_ = type->id();
     server_ = std::make_unique<txn::ServerTm>(&repo_, &network_,
                                               server_node_, &scope_);
-    txn::RegisterServerService(server_.get(), &rpc_);
-    service_ =
-        std::make_unique<txn::RemoteServerStub>(&rpc_, ws_, server_node_);
+    rpc_.RegisterHandler(server_node_, txn::kServerServiceMethod,
+                         txn::ServerServiceHandler(server_.get()));
+    service_ = std::make_unique<txn::ServerStub>(
+        server_node_, rpc_.Bind(ws_, server_node_));
     client_ = std::make_unique<txn::ClientTm>(service_.get(), &network_, ws_,
                                               &clock_);
   }
@@ -50,7 +51,7 @@ class HandoverTest : public ::testing::Test {
   NodeId ws_;
   DotId dot_;
   std::unique_ptr<txn::ServerTm> server_;
-  std::unique_ptr<txn::RemoteServerStub> service_;
+  std::unique_ptr<txn::ServerStub> service_;
   std::unique_ptr<txn::ClientTm> client_;
 };
 

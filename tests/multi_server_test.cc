@@ -16,12 +16,12 @@
 
 #include "bench/bench_tm_env.h"
 #include "common/ids.h"
+#include "common/serde.h"
 #include "sim/simulator.h"
 #include "storage/repository.h"
 #include "storage/wal.h"
 #include "txn/client_tm.h"
 #include "txn/placement.h"
-#include "txn/remote_server_stub.h"
 #include "txn/scope_authority.h"
 #include "txn/server_service.h"
 #include "txn/server_tm.h"
@@ -111,6 +111,101 @@ TEST(MultiServerPlaneTest, PlacementSkipsDeadNodes) {
   ASSERT_TRUE(plane.shards[1].tm->Recover().ok());
   EXPECT_EQ(plane.placement.AssignLeastLoaded(DaId(30)),
             plane.shards[1].node);
+}
+
+// --- PlacementClient -------------------------------------------------------
+
+/// A placement authority stand-in: answers every lookup with `reply`
+/// and counts the calls that reach it.
+struct FakeAuthority {
+  int calls = 0;
+  std::string reply;
+
+  rpc::CallFn Bind() {
+    return [this](const std::string& method,
+                  const std::string& /*request*/) -> Result<std::string> {
+      EXPECT_EQ(method, kPlacementMethod);
+      ++calls;
+      return reply;
+    };
+  }
+};
+
+std::string HomeReply(NodeId home) {
+  std::string reply;
+  PutFixed64(&reply, home.value());
+  return reply;
+}
+
+TEST(PlacementClientTest, SecondLookupIsServedFromTheCache) {
+  FakeAuthority authority;
+  authority.reply = HomeReply(NodeId(5));
+  PlacementClient client(authority.Bind());
+  for (int i = 0; i < 2; ++i) {
+    auto home = client.HomeOf(DaId(10));
+    ASSERT_TRUE(home.ok()) << home.status().ToString();
+    EXPECT_EQ(*home, NodeId(5));
+  }
+  EXPECT_EQ(authority.calls, 1);
+  PlacementClientStats stats = client.stats();
+  EXPECT_EQ(stats.lookups, 2u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.fetches, 1u);
+}
+
+TEST(PlacementClientTest, ForgetForcesARefetch) {
+  FakeAuthority authority;
+  authority.reply = HomeReply(NodeId(5));
+  PlacementClient client(authority.Bind());
+  ASSERT_TRUE(client.HomeOf(DaId(10)).ok());
+  client.Forget(DaId(10));
+  authority.reply = HomeReply(NodeId(6));  // the DA migrated meanwhile
+  auto home = client.HomeOf(DaId(10));
+  ASSERT_TRUE(home.ok()) << home.status().ToString();
+  EXPECT_EQ(*home, NodeId(6));
+  EXPECT_EQ(authority.calls, 2);
+  EXPECT_EQ(client.stats().invalidations, 1u);
+  EXPECT_EQ(client.stats().fetches, 2u);
+}
+
+TEST(PlacementClientTest, UnknownDaIsNotFoundAndNotCached) {
+  FakeAuthority authority;
+  authority.reply = HomeReply(NodeId());
+  PlacementClient client(authority.Bind());
+  EXPECT_TRUE(client.HomeOf(DaId(10)).status().IsNotFound());
+  EXPECT_TRUE(client.HomeOf(DaId(10)).status().IsNotFound());
+  EXPECT_EQ(authority.calls, 2);
+  EXPECT_EQ(client.stats().fetches, 0u);
+  EXPECT_EQ(client.stats().cache_hits, 0u);
+}
+
+TEST(PlacementClientTest, ShortReplyIsInternal) {
+  FakeAuthority authority;
+  authority.reply = "abc";
+  PlacementClient client(authority.Bind());
+  EXPECT_EQ(client.HomeOf(DaId(10)).status().code(), StatusCode::kInternal);
+  EXPECT_EQ(client.stats().fetches, 0u);
+}
+
+TEST(PlacementClientTest, RoundTripsThroughThePlacementHandler) {
+  SimClock clock;
+  rpc::Network network(&clock, 3);
+  rpc::TransactionalRpc rpc(&network);
+  NodeId authority = network.AddNode("server");
+  NodeId ws = network.AddNode("ws");
+  PlacementMap placement;
+  placement.RegisterNode(authority);
+  ASSERT_TRUE(placement.Assign(DaId(10), authority).ok());
+  rpc.RegisterHandler(authority, kPlacementMethod,
+                      PlacementHandler(&placement));
+  PlacementClient client(rpc.Bind(ws, authority));
+  auto home = client.HomeOf(DaId(10));
+  ASSERT_TRUE(home.ok()) << home.status().ToString();
+  EXPECT_EQ(*home, authority);
+  EXPECT_TRUE(client.HomeOf(DaId(11)).status().IsNotFound());
+  EXPECT_EQ(rpc.CallsTo(authority), 2u);
+  // The handler rejects a lookup that is not one DA id.
+  EXPECT_FALSE(rpc.Call(ws, authority, kPlacementMethod, "x").ok());
 }
 
 TEST(MultiServerPlaneTest, CrossShardCheckinCommitSpansBothShards) {
@@ -716,8 +811,9 @@ TEST(MultiServerPlaneTest, WrongShardCheckinIsTyped) {
   DaId da(10);
   ASSERT_TRUE(plane.placement.Assign(da, plane.shards[1].node).ok());
   // Direct single-op call against the wrong node's service.
-  RemoteServerStub stub(&plane.rpc, plane.clients[0]->node(),
-                        plane.shards[0].node);
+  ServerStub stub(plane.shards[0].node,
+                  plane.rpc.Bind(plane.clients[0]->node(),
+                                 plane.shards[0].node));
   BatchRequest begin;
   begin.ops.emplace_back(BeginDopRequest{DopId(601), da});
   auto begun = stub.Execute(begin);

@@ -4,7 +4,8 @@
 // Unix-domain and TCP sockets — including server restart between and
 // during calls, reconnect backoff, retries attaching to a running
 // execution, handlers slower than the call timeout, and the
-// at-most-once-across-eviction regression.
+// at-most-once-across-eviction regression — and the ServerService
+// stack a concordd/concord_client pair runs, in one process.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -14,6 +15,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <random>
@@ -21,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/strings.h"
 #include "net/address.h"
 #include "net/frame.h"
@@ -28,6 +33,12 @@
 #include "net/rpc_server.h"
 #include "net/wire.h"
 #include "rpc/dedup_cache.h"
+#include "rpc/network.h"
+#include "storage/repository.h"
+#include "txn/client_tm.h"
+#include "txn/scope_authority.h"
+#include "txn/server_service.h"
+#include "txn/server_tm.h"
 
 namespace concord::net {
 namespace {
@@ -747,6 +758,112 @@ TEST(LoopbackRpc, CallTimesOutAgainstDeadAddress) {
   EXPECT_TRUE(reply.status().IsUnavailable()) << reply.status().ToString();
   EXPECT_GE(channel.stats().timeouts, 1u);
   channel.Shutdown();
+}
+
+// --- ServerService over a socket ------------------------------------------
+
+/// The socket stack of a concordd/concord_client pair, in one process:
+/// an RpcServer serving ServerServiceHandler on a Unix socket, and
+/// workstations whose ClientTm reaches it through a ServerStub bound to
+/// an RpcChannel. The server and each workstation keep their own clock
+/// and Network, as separate processes do.
+class SocketServerServiceTest : public ::testing::Test {
+ protected:
+  /// One workstation process: its ClientTm's envelopes cross the
+  /// socket. `client_id` is also its NodeId, the namespace of its DOPs.
+  struct Workstation {
+    Workstation(uint64_t client_id, const Address& server)
+        : network(&clock, /*seed=*/7, NodeId(client_id)),
+          node(network.AddNode("ws" + std::to_string(client_id))),
+          channel(client_id, server),
+          stub(NodeId(1000),
+               [this](const std::string& method, const std::string& request) {
+                 return channel.Call(method, request);
+               }),
+          tm(&stub, &network, node, &clock) {}
+
+    SimClock clock;
+    rpc::Network network;
+    NodeId node;
+    RpcChannel channel;
+    txn::ServerStub stub;
+    txn::ClientTm tm;
+  };
+
+  SocketServerServiceTest()
+      : server_network_(&server_clock_, /*seed=*/1), repo_(&server_clock_) {
+    char tmpl[] = "/tmp/concord_net_service_XXXXXX";
+    const char* dir = ::mkdtemp(tmpl);
+    if (dir == nullptr) {
+      ADD_FAILURE() << "mkdtemp failed: " << std::strerror(errno);
+      std::abort();
+    }
+    dir_ = dir;
+    storage::DesignObjectType* type = repo_.schema().DefineType("cell");
+    type->AddAttr({"value", storage::AttrType::kInt, true, 0.0, 1e9});
+    dot_ = type->id();
+    tm_ = std::make_unique<txn::ServerTm>(
+        &repo_, &server_network_, server_network_.AddNode("server"), &scope_);
+    server_ = std::make_unique<RpcServer>(Address::Unix(dir_ + "/server.sock"));
+    server_->RegisterMethod(txn::kServerServiceMethod,
+                            txn::ServerServiceHandler(tm_.get()));
+  }
+
+  ~SocketServerServiceTest() override {
+    server_->Shutdown();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  storage::DesignObject Cell(int64_t value) const {
+    storage::DesignObject object(dot_);
+    object.SetAttr("value", value);
+    return object;
+  }
+
+  std::string dir_;
+  SimClock server_clock_;
+  rpc::Network server_network_;
+  storage::Repository repo_;
+  txn::PermissiveScopeAuthority scope_;
+  DotId dot_;
+  std::unique_ptr<txn::ServerTm> tm_;
+  std::unique_ptr<RpcServer> server_;
+};
+
+TEST_F(SocketServerServiceTest, ClientTmCommitsAndAFreshClientChecksOut) {
+  ASSERT_TRUE(server_->Start().ok());
+  const DaId da(1);
+  DovId derived;
+  {
+    Workstation ws(1, server_->bound_address());
+    // Checkin and End-of-DOP in one envelope...
+    auto first_dop = ws.tm.BeginDop(da);
+    ASSERT_TRUE(first_dop.ok()) << first_dop.status().ToString();
+    auto first = ws.tm.CheckinCommit(*first_dop, Cell(41), {});
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    // ...and as separate envelopes, deriving from the first version.
+    auto dop = ws.tm.BeginDop(da);
+    ASSERT_TRUE(dop.ok()) << dop.status().ToString();
+    ASSERT_TRUE(ws.tm.Checkout(*dop, *first).ok());
+    auto second = ws.tm.Checkin(*dop, Cell(42), {*first});
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    Status committed = ws.tm.CommitDop(*dop);
+    ASSERT_TRUE(committed.ok()) << committed.ToString();
+    derived = *second;
+    EXPECT_GE(ws.channel.stats().calls, 5u);
+  }
+  EXPECT_TRUE(repo_.Contains(derived));
+
+  Workstation fresh(2, server_->bound_address());
+  auto dop = fresh.tm.BeginDop(da);
+  ASSERT_TRUE(dop.ok()) << dop.status().ToString();
+  Status checked_out = fresh.tm.Checkout(*dop, derived);
+  ASSERT_TRUE(checked_out.ok()) << checked_out.ToString();
+  auto input = fresh.tm.Input(*dop, derived);
+  ASSERT_TRUE(input.ok()) << input.status().ToString();
+  EXPECT_EQ(input->GetAttr("value")->as_int(), 42);
+  EXPECT_TRUE(fresh.tm.CommitDop(*dop).ok());
 }
 
 }  // namespace

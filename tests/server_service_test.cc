@@ -6,13 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "rpc/network.h"
 #include "rpc/transactional_rpc.h"
 #include "storage/repository.h"
 #include "storage/wal_codec.h"
 #include "txn/client_tm.h"
-#include "txn/remote_server_stub.h"
+#include "txn/server_service.h"
 #include "txn/server_tm.h"
 
 namespace concord::txn {
@@ -107,6 +108,74 @@ TEST(ServerServiceCodecTest, DesignObjectPayloadRoundTrips) {
   EXPECT_FALSE(storage::DecodeDesignObject("bogus").ok());
 }
 
+// --- ServerStub contract (fake transport) ---------------------------------
+
+/// A transport stand-in: records what the stub sends and answers with
+/// `reply`.
+struct FakeTransport {
+  std::string method;
+  std::string request;
+  Result<std::string> reply = std::string();
+
+  rpc::CallFn Bind() {
+    return [this](const std::string& m,
+                  const std::string& r) -> Result<std::string> {
+      method = m;
+      request = r;
+      return reply;
+    };
+  }
+};
+
+BatchRequest TwoOpBatch() {
+  BatchRequest batch;
+  batch.ops.emplace_back(BeginDopRequest{DopId(1), DaId(2)});
+  batch.ops.emplace_back(CommitDopRequest{DopId(1)});
+  return batch;
+}
+
+TEST(ServerStubTest, CallsTheServiceMethodWithTheEncodedBatch) {
+  FakeTransport transport;
+  BatchReply two;
+  two.ops.resize(2);
+  transport.reply = EncodeBatchReply(two);
+  ServerStub stub(NodeId(7), transport.Bind());
+  EXPECT_EQ(stub.server_node(), NodeId(7));
+  auto reply = stub.Execute(TwoOpBatch());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->ops.size(), 2u);
+  EXPECT_EQ(transport.method, kServerServiceMethod);
+  EXPECT_EQ(transport.request, EncodeBatchRequest(TwoOpBatch()));
+}
+
+TEST(ServerStubTest, TransportErrorComesBackUnchanged) {
+  FakeTransport transport;
+  transport.reply = Status::Unavailable("link down");
+  ServerStub stub(NodeId(7), transport.Bind());
+  auto reply = stub.Execute(TwoOpBatch());
+  ASSERT_FALSE(reply.ok());
+  EXPECT_TRUE(reply.status().IsUnavailable());
+  EXPECT_EQ(reply.status().message(), "link down");
+}
+
+TEST(ServerStubTest, UndecodableReplyIsAnError) {
+  FakeTransport transport;
+  transport.reply = std::string("not a batch reply");
+  ServerStub stub(NodeId(7), transport.Bind());
+  EXPECT_FALSE(stub.Execute(TwoOpBatch()).ok());
+}
+
+TEST(ServerStubTest, ReplyOfTheWrongArityIsInternal) {
+  FakeTransport transport;
+  BatchReply one;
+  one.ops.resize(1);
+  transport.reply = EncodeBatchReply(one);
+  ServerStub stub(NodeId(7), transport.Bind());
+  auto reply = stub.Execute(TwoOpBatch());
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kInternal);
+}
+
 // --- Full-stack fixture ---------------------------------------------------
 
 class ServerServiceTest : public ::testing::Test {
@@ -120,8 +189,10 @@ class ServerServiceTest : public ::testing::Test {
     dot_ = type->id();
     server_ = std::make_unique<ServerTm>(&repo_, &network_, server_node_,
                                          &scope_, nullptr, partitions);
-    RegisterServerService(server_.get(), &rpc_);
-    stub_ = std::make_unique<RemoteServerStub>(&rpc_, ws_, server_node_);
+    rpc_.RegisterHandler(server_node_, kServerServiceMethod,
+                         ServerServiceHandler(server_.get()));
+    stub_ = std::make_unique<ServerStub>(server_node_,
+                                         rpc_.Bind(ws_, server_node_));
     client_ = std::make_unique<ClientTm>(stub_.get(), &network_, ws_, &clock_);
   }
 
@@ -163,7 +234,7 @@ class ServerServiceTest : public ::testing::Test {
   NodeId ws_;
   DotId dot_;
   std::unique_ptr<ServerTm> server_;
-  std::unique_ptr<RemoteServerStub> stub_;
+  std::unique_ptr<ServerStub> stub_;
   std::unique_ptr<ClientTm> client_;
 };
 

@@ -5,7 +5,7 @@
 #include "storage/repository.h"
 #include "txn/client_tm.h"
 #include "txn/lock_manager.h"
-#include "txn/remote_server_stub.h"
+#include "txn/server_service.h"
 #include "txn/server_tm.h"
 
 namespace concord::txn {
@@ -102,8 +102,10 @@ class TmTest : public ::testing::Test {
     DesignObjectTypeSetup();
     server_ = std::make_unique<ServerTm>(&repo_, &network_, server_node_,
                                          &scope_);
-    RegisterServerService(server_.get(), &rpc_);
-    service_ = std::make_unique<RemoteServerStub>(&rpc_, ws_, server_node_);
+    rpc_.RegisterHandler(server_node_, kServerServiceMethod,
+                         ServerServiceHandler(server_.get()));
+    service_ = std::make_unique<ServerStub>(server_node_,
+                                            rpc_.Bind(ws_, server_node_));
     client_ = std::make_unique<ClientTm>(service_.get(), &network_, ws_,
                                          &clock_);
   }
@@ -143,7 +145,7 @@ class TmTest : public ::testing::Test {
   NodeId ws_;
   DotId dot_;
   std::unique_ptr<ServerTm> server_;
-  std::unique_ptr<RemoteServerStub> service_;
+  std::unique_ptr<ServerStub> service_;
   std::unique_ptr<ClientTm> client_;
 };
 
@@ -343,8 +345,9 @@ TEST_F(TmTest, ScopeAuthorityDenialBlocksCheckout) {
   DenyAll deny;
   ServerTm strict(&repo_, &network_, server_node_, &deny);
   rpc::TransactionalRpc strict_rpc(&network_);
-  RegisterServerService(&strict, &strict_rpc);
-  RemoteServerStub strict_service(&strict_rpc, ws_, server_node_);
+  strict_rpc.RegisterHandler(server_node_, kServerServiceMethod,
+                             ServerServiceHandler(&strict));
+  ServerStub strict_service(server_node_, strict_rpc.Bind(ws_, server_node_));
   ClientTm client(&strict_service, &network_, ws_, &clock_);
   DovId dov = Seed(DaId(1), 5);
   auto dop = client.BeginDop(DaId(1));

@@ -4,6 +4,10 @@
 #
 #  - every relative markdown link in README.md and docs/*.md must
 #    resolve to an existing file or directory;
+#  - every backticked repo path (`src/...`, `tests/...`, `tools/...`,
+#    `bench/...`, `examples/...`, `docs/...`) must exist; a brace form
+#    (`a.{h,cc}`) must exist in every alternative and a glob form
+#    (`a.*`) must match at least one file;
 #  - lint: no trailing whitespace, no tab characters, balanced fenced
 #    code blocks, exactly one top-level H1 per file.
 set -u
@@ -32,6 +36,27 @@ for f in "${files[@]}"; do
       err "$f: broken link -> $target"
     fi
   done < <(grep -oE '\[[^]]*\]\([^)]+\)' "$f" | sed -E 's/.*\(([^)]+)\)/\1/')
+
+  # --- Backticked repo paths must exist ----------------------------
+  # The path is the code span's first word, minus a :line suffix.
+  while IFS= read -r span; do
+    ref="${span%% *}"
+    ref="${ref%%:*}"
+    candidates=("$ref")
+    if [[ "$ref" =~ ^([^{]*)\{([^}]*)\}(.*)$ ]]; then
+      candidates=()
+      IFS=, read -ra alternatives <<< "${BASH_REMATCH[2]}"
+      for alt in "${alternatives[@]}"; do
+        candidates+=("${BASH_REMATCH[1]}${alt}${BASH_REMATCH[3]}")
+      done
+    fi
+    for path in "${candidates[@]}"; do
+      if ! compgen -G "$path" >/dev/null; then
+        err "$f: missing repo path -> $span"
+      fi
+    done
+  done < <(grep -oE '`(src|tests|tools|bench|examples|docs)/[^`]*`' "$f" |
+           tr -d '`' | sort -u)
 
   # --- Lint ---------------------------------------------------------
   if grep -nE ' +$' "$f" >/dev/null; then

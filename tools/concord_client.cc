@@ -73,12 +73,12 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "net/address.h"
-#include "net/net_server_service.h"
 #include "net/rpc_client.h"
 #include "rpc/network.h"
 #include "storage/object.h"
 #include "tools/plane_schema.h"
 #include "txn/client_tm.h"
+#include "txn/server_service.h"
 #include "txn/shard_router.h"
 
 namespace {
@@ -119,7 +119,7 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-/// The workstation stack: one channel + NetServerService per shard, a
+/// The workstation stack: one channel + ServerStub per shard, a
 /// static-home router (no placement service in a concordd plane), and
 /// the ClientTm on top. The workstation's NodeId is its --client-id,
 /// the namespace of the ClientTm's DOP and 2PC TxnIds.
@@ -129,7 +129,7 @@ struct Workstation {
   NodeId node;
   DotId dot;
   std::vector<std::shared_ptr<net::RpcChannel>> channels;
-  std::vector<std::unique_ptr<net::NetServerService>> services;
+  std::vector<std::unique_ptr<txn::ServerStub>> services;
   std::unique_ptr<txn::ClientTm> tm;
   txn::ShardRouter router;
 
@@ -152,8 +152,12 @@ struct Workstation {
       // Server NodeIds are client-local labels: the router only needs
       // them distinct, and shard s of a DOV id maps to routes[s].
       NodeId server_node(1000 + s);
-      services.push_back(std::make_unique<net::NetServerService>(
-          server_node, channels.back()));
+      services.push_back(std::make_unique<txn::ServerStub>(
+          server_node,
+          [channel = channels.back()](const std::string& method,
+                                      const std::string& request) {
+            return channel->Call(method, request);
+          }));
       routes.emplace_back(server_node, services.back().get());
     }
     router = txn::ShardRouter(std::move(routes), /*placement=*/nullptr);

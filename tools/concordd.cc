@@ -140,13 +140,8 @@ int main(int argc, char** argv) {
   net::RpcServer::Options options;
   options.worker_threads = workers;
   net::RpcServer server(*address, options);
-  server.RegisterMethod(
-      txn::kServerServiceMethod,
-      [&tm](const std::string& payload) -> Result<std::string> {
-        CONCORD_ASSIGN_OR_RETURN(txn::BatchRequest batch,
-                                 txn::DecodeBatchRequest(payload));
-        return txn::EncodeBatchReply(txn::DispatchBatch(tm, batch));
-      });
+  server.RegisterMethod(txn::kServerServiceMethod,
+                        txn::ServerServiceHandler(&tm));
   // Harness introspection: every DOV of a DA with its "value" attribute,
   // one "<dov> <value>" line per record. This is how the crash tests
   // assert both presence (committed survivors) and absence (aborted
