@@ -16,6 +16,11 @@
 //
 // main() re-times the legs outside google-benchmark and writes
 // BENCH_transport.json so CI can track median RTT per leg.
+//
+// It also times two threads each on its own channel into one
+// server (unix_socket_2channels_rtt_us_p50): the bench/e2e shape, where
+// every caller reads its own connection and the server-side wake-ups
+// are the whole hand-off cost.
 
 #include <benchmark/benchmark.h>
 
@@ -51,6 +56,14 @@ Result<std::string> EchoHandler(const std::string& request) {
   return request;
 }
 
+void EchoRoundtrip(net::RpcChannel& channel, const std::string& payload) {
+  auto reply = channel.Call("bench/echo", payload);
+  if (!reply.ok() || reply->size() != payload.size()) {
+    std::fprintf(stderr, "bench echo failed\n");
+    std::abort();
+  }
+}
+
 /// One server + one channel, echoing `payload_bytes` request payloads.
 struct SocketRig {
   std::unique_ptr<net::RpcServer> server;
@@ -76,13 +89,7 @@ struct SocketRig {
     server->Shutdown();
   }
 
-  void Roundtrip() {
-    auto reply = channel->Call("bench/echo", payload);
-    if (!reply.ok() || reply->size() != payload.size()) {
-      std::fprintf(stderr, "bench echo failed\n");
-      std::abort();
-    }
-  }
+  void Roundtrip() { EchoRoundtrip(*channel, payload); }
 };
 
 void BM_RttUnixSocket(benchmark::State& state) {
@@ -164,14 +171,15 @@ double MedianRttUs(const std::function<void()>& roundtrip, int iters) {
   return Median(TimeRoundtrips(roundtrip, iters));
 }
 
-/// Median per-call RTT with kConcurrentCallers threads calling through
-/// one channel at once, `iters` calls each.
-double ConcurrentMedianRttUs(SocketRig& rig, int iters) {
-  std::vector<std::vector<double>> per_thread(kConcurrentCallers);
+/// Median per-call RTT with one thread per `roundtrips` entry, all
+/// calling at once, `iters` calls each.
+double ConcurrentMedianRttUs(
+    const std::vector<std::function<void()>>& roundtrips, int iters) {
+  std::vector<std::vector<double>> per_thread(roundtrips.size());
   std::vector<std::thread> threads;
-  for (auto& samples : per_thread) {
-    threads.emplace_back([&rig, iters, &samples] {
-      samples = TimeRoundtrips([&rig] { rig.Roundtrip(); }, iters);
+  for (size_t t = 0; t < roundtrips.size(); ++t) {
+    threads.emplace_back([&roundtrips, &per_thread, t, iters] {
+      per_thread[t] = TimeRoundtrips(roundtrips[t], iters);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -188,12 +196,26 @@ int EmitGateJson(const char* path) {
 
   double uds_us;
   double uds_concurrent_us;
+  double uds_two_channels_us;
   double tcp_us;
   {
     SocketRig rig(net::Address::Unix(BenchSocketPath("json_uds")), kPayload);
     for (int i = 0; i < 100; ++i) rig.Roundtrip();  // warm the connection
     uds_us = MedianRttUs([&] { rig.Roundtrip(); }, kIters);
-    uds_concurrent_us = ConcurrentMedianRttUs(rig, kIters);
+    std::function<void()> roundtrip = [&rig] { rig.Roundtrip(); };
+    uds_concurrent_us = ConcurrentMedianRttUs(
+        std::vector<std::function<void()>>(kConcurrentCallers, roundtrip),
+        kIters);
+    // The bench/e2e shape: two callers, each on its own channel (and
+    // so its own connection) into one server.
+    net::RpcChannel second(/*client_id=*/2, rig.server->bound_address());
+    std::function<void()> second_roundtrip = [&] {
+      EchoRoundtrip(second, rig.payload);
+    };
+    for (int i = 0; i < 100; ++i) second_roundtrip();
+    uds_two_channels_us =
+        ConcurrentMedianRttUs({roundtrip, second_roundtrip}, kIters);
+    second.Shutdown();
   }
   {
     SocketRig rig(net::Address::Tcp("127.0.0.1", 0), kPayload);
@@ -219,6 +241,9 @@ int EmitGateJson(const char* path) {
   json += "  \"unix_socket_rtt_us_p50\": " + std::string(buffer) + ",\n";
   std::snprintf(buffer, sizeof(buffer), "%.2f", uds_concurrent_us);
   json += "  \"unix_socket_4callers_rtt_us_p50\": " + std::string(buffer) +
+          ",\n";
+  std::snprintf(buffer, sizeof(buffer), "%.2f", uds_two_channels_us);
+  json += "  \"unix_socket_2channels_rtt_us_p50\": " + std::string(buffer) +
           ",\n";
   std::snprintf(buffer, sizeof(buffer), "%.2f", tcp_us);
   json += "  \"tcp_loopback_rtt_us_p50\": " + std::string(buffer) + ",\n";

@@ -1,6 +1,6 @@
 #include "net/connection.h"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,90 +12,86 @@
 
 namespace concord::net {
 
-FramedConnection::FramedConnection(EventLoop* loop, int fd)
-    : loop_(loop), fd_(fd) {}
+FramedConnection::FramedConnection(int epoll_fd, int fd, uint64_t token)
+    : epoll_fd_(epoll_fd), fd_(fd), token_(token) {}
 
 FramedConnection::~FramedConnection() { Close(); }
 
-void FramedConnection::Start() {
-  loop_->RegisterFd(fd_, POLLIN, [this](short events) { HandleEvents(events); });
-}
-
-bool FramedConnection::closed() const {
-  MutexLock lock(&out_mu_);
-  return !open_;
+Status FramedConnection::Start() {
+  epoll_event event{};
+  event.events = EPOLLIN | EPOLLONESHOT;
+  event.data.u64 = token_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd_, &event) != 0) {
+    return Status::Internal(std::string("epoll_ctl add: ") +
+                            std::strerror(errno));
+  }
+  return Status::OK();
 }
 
 void FramedConnection::Close() {
-  {
-    MutexLock lock(&out_mu_);
-    if (!open_) return;
-    open_ = false;
-    outbound_.clear();
-    outbound_offset_ = 0;
-  }
-  // No sender can reach the fd now: every write checks open_ under
-  // out_mu_ first.
-  loop_->UnregisterFd(fd_);
+  MutexLock read_lock(&read_mu_);
+  MutexLock lock(&out_mu_);
+  if (!open_) return;
+  open_ = false;
+  outbound_.clear();
+  outbound_offset_ = 0;
+  // Holding both mutexes: no reader, sender or re-arm can reach the fd.
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd_, nullptr);
   CloseFd(fd_);
 }
 
-void FramedConnection::Fail(Status reason) {
-  if (closed()) return;
-  Close();
-  if (on_closed_) {
-    // The handler may destroy this connection; detach it first and
-    // touch nothing afterwards.
-    ClosedHandler handler = std::move(on_closed_);
-    on_closed_ = nullptr;
-    handler(std::move(reason));
+Result<std::optional<Frame>> FramedConnection::Receive() {
+  MutexLock read_lock(&read_mu_);
+  {
+    MutexLock lock(&out_mu_);
+    if (!open_) return std::optional<Frame>();
+    CONCORD_RETURN_NOT_OK(FlushLocked());
   }
+  CONCORD_RETURN_NOT_OK(ReadAvailable());
+  std::optional<Frame> frame;
+  if (!frames_.empty()) {
+    frame = std::move(frames_.front());
+    frames_.pop_front();
+  }
+  MutexLock lock(&out_mu_);
+  ArmLocked(!frames_.empty());
+  return frame;
 }
 
-void FramedConnection::HandleEvents(short events) {
-  // Read first even on POLLERR/POLLHUP: the kernel may still hold
-  // buffered bytes (including the peer's goodbye frame).
-  if (events & (POLLIN | POLLERR | POLLHUP)) {
-    HandleReadable();
-    if (closed()) return;
-  }
-  if (events & POLLOUT) {
-    HandleWritable();
-  }
-}
-
-void FramedConnection::HandleReadable() {
+Status FramedConnection::ReadAvailable() {
   char buf[16384];
   for (;;) {
     ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n > 0) {
       decoder_.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      for (;;) {
-        auto frame = decoder_.Next();
-        if (!frame.ok()) {
-          if (frame.status().IsUnavailable()) break;  // need more bytes
-          Fail(frame.status());
-          return;
-        }
-        if (frame->type == FrameType::kGoodbye) {
-          peer_said_goodbye_ = true;
-        }
-        if (on_frame_) on_frame_(std::move(*frame));
-        if (closed()) return;  // handler closed us
-      }
+      // A short read drained the socket; bytes that land later find
+      // the re-armed watch.
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
     }
-    if (n == 0) {
-      Fail(peer_said_goodbye_
-               ? Status::OK()
-               : Status::Unavailable("peer closed connection"));
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+    if (n == 0) return Status::Unavailable("peer closed connection");
     if (errno == EINTR) continue;
-    Fail(Status::Unavailable(std::string("read: ") + std::strerror(errno)));
-    return;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    return Status::Unavailable(std::string("read: ") + std::strerror(errno));
   }
+  for (;;) {
+    auto frame = decoder_.Next();
+    if (!frame.ok()) {
+      if (frame.status().IsUnavailable()) return Status::OK();  // need more
+      return frame.status();
+    }
+    if (frame->type != FrameType::kGoodbye) {
+      frames_.push_back(std::move(*frame));
+    }
+  }
+}
+
+void FramedConnection::ArmLocked(bool more_frames) {
+  epoll_event event{};
+  event.events = EPOLLIN | EPOLLONESHOT;
+  if (more_frames || HasPendingOutputLocked()) event.events |= EPOLLOUT;
+  event.data.u64 = token_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd_, &event);
 }
 
 Status FramedConnection::FlushLocked() {
@@ -122,42 +118,21 @@ Status FramedConnection::FlushLocked() {
   return result;
 }
 
-void FramedConnection::HandleWritable() {
-  Status flushed = Status::OK();
-  short events = POLLIN;
-  {
-    MutexLock lock(&out_mu_);
-    if (!open_) return;
-    flushed = FlushLocked();
-    if (HasPendingOutputLocked()) events |= POLLOUT;
-  }
-  if (!flushed.ok()) {
-    Fail(std::move(flushed));
-    return;
-  }
-  loop_->UpdateEvents(fd_, events);
-}
-
 void FramedConnection::SendFrame(FrameType type, std::string_view payload) {
-  {
-    MutexLock lock(&out_mu_);
-    if (!open_) return;
-    // Bytes already queued mean the loop is draining them behind
-    // POLLOUT (or is about to): append behind them, never write past.
-    bool idle = !HasPendingOutputLocked();
-    AppendFrame(&outbound_, type, payload);
-    if (!idle) return;
-    // A write error leaves the bytes queued; the loop's POLLOUT pass
-    // meets the same error and fails the connection on its thread.
-    (void)FlushLocked();
-    if (!HasPendingOutputLocked()) return;
-  }
-  // Hand the remainder to the loop's POLLOUT path.
-  if (loop_->OnLoopThread()) {
-    loop_->UpdateEvents(fd_, POLLIN | POLLOUT);
-  } else {
-    loop_->Post([self = shared_from_this()] { self->HandleWritable(); });
-  }
+  MutexLock lock(&out_mu_);
+  if (!open_) return;
+  // Bytes already queued wait on EPOLLOUT: append behind them, never
+  // write past.
+  bool idle = !HasPendingOutputLocked();
+  AppendFrame(&outbound_, type, payload);
+  if (!idle) return;
+  // A write error leaves the bytes queued; the worker that takes the
+  // EPOLLOUT (or error) event meets it again and reports the
+  // connection broken.
+  (void)FlushLocked();
+  // Re-arming a watch a worker holds only wakes a second worker, which
+  // waits on read_mu_; the holder re-arms again when it is done.
+  if (HasPendingOutputLocked()) ArmLocked(false);
 }
 
 }  // namespace concord::net

@@ -1,8 +1,13 @@
 #include "net/rpc_server.h"
 
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #include "common/logging.h"
 #include "net/wire.h"
@@ -22,10 +27,30 @@ void RpcServer::RegisterMethod(std::string method, Handler handler) {
 
 Status RpcServer::Start() {
   CONCORD_ASSIGN_OR_RETURN(listen_fd_, ListenOn(address_, 64, &bound_));
-  // Registration happens before Run(), so this is still "loop thread"
-  // territory by the EventLoop contract.
-  loop_.RegisterFd(listen_fd_, POLLIN, [this](short) { AcceptPending(); });
-  loop_thread_ = std::thread([this] { loop_.Run(); });
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  shutdown_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  auto watch = [this](int fd, uint64_t token, uint32_t events) {
+    epoll_event event{};
+    event.events = events;
+    event.data.u64 = token;
+    return ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) == 0;
+  };
+  // The shutdown eventfd is level-triggered: once written it stays
+  // readable for every worker.
+  if (epoll_fd_ < 0 || shutdown_fd_ < 0 ||
+      !watch(listen_fd_, kListenToken, EPOLLIN | EPOLLONESHOT) ||
+      !watch(shutdown_fd_, kShutdownToken, EPOLLIN)) {
+    Status st = Status::Internal(std::string("epoll set-up: ") +
+                                 std::strerror(errno));
+    CloseFds();
+    return st;
+  }
+  struct stat st;
+  if (address_.kind == Address::Kind::kUnix &&
+      ::stat(address_.path.c_str(), &st) == 0) {
+    socket_dev_ = st.st_dev;
+    socket_ino_ = st.st_ino;
+  }
   for (int i = 0; i < options_.worker_threads; ++i) {
     workers_.emplace_back([this] { WorkerMain(); });
   }
@@ -37,29 +62,43 @@ Status RpcServer::Start() {
 void RpcServer::Shutdown() {
   if (!started_ || shut_down_) return;
   shut_down_ = true;
-  // Stop accepting and announce the close to every peer so their
-  // in-flight calls retry instead of failing.
-  loop_.Post([this] {
-    loop_.UnregisterFd(listen_fd_);
-    for (auto& [id, conn] : conns_) {
-      (void)id;
-      if (!conn->closed()) conn->SendFrame(FrameType::kGoodbye, "bye");
-    }
-  });
+  std::vector<std::shared_ptr<FramedConnection>> open;
   {
-    MutexLock lock(&queue_mu_);
-    stopping_ = true;
+    MutexLock lock(&conns_mu_);
+    accepting_ = false;
+    for (const auto& [token, conn] : conns_) open.push_back(conn);
   }
-  queue_cv_.NotifyAll();
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+  // Announce the close to every peer so their in-flight calls retry
+  // instead of failing. A worker running a handler still writes its
+  // reply before it next waits and meets the shutdown event.
+  for (const auto& conn : open) conn->SendFrame(FrameType::kGoodbye, "bye");
+  uint64_t one = 1;
+  (void)!::write(shutdown_fd_, &one, sizeof(one));
   for (auto& worker : workers_) worker.join();
   workers_.clear();
-  // Stop() runs what is still posted (goodbyes, POLLOUT hand-offs of
-  // the workers' final replies) before the loop exits.
-  loop_.Stop();
-  loop_thread_.join();
-  conns_.clear();
-  CloseFd(listen_fd_);
-  listen_fd_ = -1;
+  {
+    MutexLock lock(&conns_mu_);
+    conns_.clear();
+  }
+  open.clear();
+  if (address_.kind == Address::Kind::kUnix && socket_ino_ != 0) {
+    // Only while the path still names this server's socket: a later
+    // server may have re-bound it.
+    struct stat st;
+    if (::stat(address_.path.c_str(), &st) == 0 && st.st_dev == socket_dev_ &&
+        st.st_ino == socket_ino_) {
+      ::unlink(address_.path.c_str());
+    }
+  }
+  CloseFds();
+}
+
+void RpcServer::CloseFds() {
+  for (int* fd : {&listen_fd_, &shutdown_fd_, &epoll_fd_}) {
+    CloseFd(*fd);
+    *fd = -1;
+  }
 }
 
 RpcServerStats RpcServer::stats() const {
@@ -73,6 +112,31 @@ RpcServerStats RpcServer::stats() const {
   return s;
 }
 
+void RpcServer::WorkerMain() {
+  for (;;) {
+    epoll_event event;
+    // One event per wake: whatever else is ready stays for the other
+    // workers.
+    int n = ::epoll_wait(epoll_fd_, &event, 1, -1);
+    if (n < 0 && errno != EINTR) {
+      CONCORD_ERROR("net", "epoll_wait failed: " << std::strerror(errno));
+      return;
+    }
+    if (n <= 0) continue;
+    if (event.data.u64 == kShutdownToken) {
+      // Pass the wake-up on, so every sleeping worker meets the event.
+      uint64_t one = 1;
+      (void)!::write(shutdown_fd_, &one, sizeof(one));
+      return;
+    }
+    if (event.data.u64 == kListenToken) {
+      AcceptPending();
+    } else {
+      ServeConnection(event.data.u64);
+    }
+  }
+}
+
 void RpcServer::AcceptPending() {
   for (;;) {
     auto fd = AcceptOn(listen_fd_);
@@ -80,49 +144,68 @@ void RpcServer::AcceptPending() {
       if (!fd.status().IsUnavailable()) {
         CONCORD_WARN("net", "accept failed: " << fd.status().message());
       }
-      return;
+      break;
     }
-    uint64_t conn_id = next_conn_id_++;
-    auto conn = std::make_shared<FramedConnection>(&loop_, *fd);
-    conn->set_on_frame(
-        [this, conn_id](Frame frame) { OnFrame(conn_id, std::move(frame)); });
-    conn->set_on_closed([this, conn_id](Status reason) {
-      // Framing violations (bad magic/type/length/CRC) surface here —
-      // the decoder tears the connection down before any frame exists.
-      if (reason.IsProtocolViolation()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-      DropConnection(conn_id);
-    });
-    conn->Start();
-    conns_[conn_id] = std::move(conn);
+    MutexLock lock(&conns_mu_);
+    if (!accepting_) {
+      CloseFd(*fd);
+      continue;
+    }
+    // Registered under conns_mu_, so the worker its first event wakes
+    // finds it in conns_.
+    uint64_t token = next_token_++;
+    auto conn = std::make_shared<FramedConnection>(epoll_fd_, *fd, token);
+    Status watched = conn->Start();
+    if (!watched.ok()) {
+      CONCORD_WARN("net", "dropping connection: " << watched.message());
+      continue;
+    }
+    conns_.emplace(token, std::move(conn));
   }
+  epoll_event event{};
+  event.events = EPOLLIN | EPOLLONESHOT;
+  event.data.u64 = kListenToken;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &event);
 }
 
-void RpcServer::DropConnection(uint64_t conn_id) {
-  // Runs on the connection's own stack (its close handler, or OnFrame);
-  // defer the destruction one loop iteration.
-  loop_.Post([this, conn_id] { conns_.erase(conn_id); });
-}
-
-void RpcServer::OnFrame(uint64_t conn_id, Frame frame) {
-  if (frame.type == FrameType::kGoodbye) return;  // EOF follows
-  auto conn_it = conns_.find(conn_id);
-  if (conn_it == conns_.end()) return;
-  const std::shared_ptr<FramedConnection>& conn = conn_it->second;
-  if (frame.type != FrameType::kRequest) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    conn->Close();
-    DropConnection(conn_id);
+void RpcServer::ServeConnection(uint64_t token) {
+  std::shared_ptr<FramedConnection> conn;
+  {
+    MutexLock lock(&conns_mu_);
+    auto it = conns_.find(token);
+    if (it == conns_.end()) return;  // dropped since the event fired
+    conn = it->second;
+  }
+  auto frame = conn->Receive();
+  if (!frame.ok()) {
+    // Framing violations (bad magic/type/length/CRC) surface here —
+    // the decoder breaks the connection before any frame exists.
+    if (frame.status().IsProtocolViolation()) {
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    }
+    DropConnection(token, conn.get());
     return;
   }
-  auto request = DecodeRequestEnvelope(frame.payload);
+  if (frame->has_value()) HandleFrame(token, conn, std::move(**frame));
+}
+
+void RpcServer::DropConnection(uint64_t token, FramedConnection* conn) {
+  conn->Close();
+  MutexLock lock(&conns_mu_);
+  conns_.erase(token);
+}
+
+void RpcServer::HandleFrame(uint64_t token,
+                            const std::shared_ptr<FramedConnection>& conn,
+                            Frame frame) {
+  auto request = frame.type == FrameType::kRequest
+                     ? DecodeRequestEnvelope(frame.payload)
+                     : Status::ProtocolViolation("unexpected frame type");
   if (!request.ok()) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     CONCORD_WARN("net", "tearing down connection: "
                             << request.status().message());
-    conn->Close();
-    DropConnection(conn_id);
+    DropConnection(token, conn.get());
     return;
   }
   requests_received_.fetch_add(1, std::memory_order_relaxed);
@@ -156,47 +239,21 @@ void RpcServer::OnFrame(uint64_t conn_id, Frame frame) {
     MutexLock lock(&in_flight_mu_);
     in_flight_[key] = {conn};
   }
-  WorkItem item;
-  item.client_id = request->client_id;
-  item.call_id = request->call_id;
-  item.method = std::move(request->method);
-  item.payload = std::move(request->payload);
-  {
-    MutexLock lock(&queue_mu_);
-    queue_.push_back(std::move(item));
-  }
-  queue_cv_.NotifyOne();
-}
-
-void RpcServer::WorkerMain() {
-  for (;;) {
-    WorkItem item;
-    {
-      MutexLock lock(&queue_mu_);
-      queue_cv_.Wait(&queue_mu_,
-                     [this]() REQUIRES(queue_mu_) {
-                       return stopping_ || !queue_.empty();
-                     });
-      if (queue_.empty()) return;  // stopping
-      item = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    Status status = Status::OK();
-    std::string reply_payload;
-    auto method_it = methods_.find(item.method);
-    if (method_it == methods_.end()) {
-      status = Status::NotFound("unknown rpc method '" + item.method + "'");
+  Status status = Status::OK();
+  std::string reply_payload;
+  auto method_it = methods_.find(request->method);
+  if (method_it == methods_.end()) {
+    status = Status::NotFound("unknown rpc method '" + request->method + "'");
+  } else {
+    auto result = method_it->second(request->payload);
+    if (result.ok()) {
+      reply_payload = std::move(*result);
     } else {
-      auto result = method_it->second(item.payload);
-      if (result.ok()) {
-        reply_payload = std::move(*result);
-      } else {
-        status = result.status();
-      }
+      status = result.status();
     }
-    requests_executed_.fetch_add(1, std::memory_order_relaxed);
-    CompleteCall(item.client_id, item.call_id, status, reply_payload);
   }
+  requests_executed_.fetch_add(1, std::memory_order_relaxed);
+  CompleteCall(request->client_id, request->call_id, status, reply_payload);
 }
 
 void RpcServer::CompleteCall(uint64_t client_id, uint64_t call_id,

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -18,7 +17,6 @@
 #include "common/sync.h"
 #include "net/address.h"
 #include "net/connection.h"
-#include "net/event_loop.h"
 #include "rpc/dedup_cache.h"
 
 namespace concord::net {
@@ -35,15 +33,18 @@ struct RpcServerStats {
 /// address, decodes request envelopes, and executes registered method
 /// handlers with at-most-once semantics per (client_id, call_id).
 ///
-/// Threading: one event-loop thread accepts, reads, decodes,
-/// deduplicates and queues requests; it never runs a handler, because
-/// handlers run full transaction batches and may block on fsync. A
-/// small worker pool executes them, and the worker that ran a handler
-/// completes the call itself: it records the reply in the shared
-/// DedupCache, then writes it to every connection waiting on the call
-/// (FramedConnection::SendFrame; a partial write is left to the loop's
-/// POLLOUT path). A retry arriving while the original execution is
-/// still running attaches to that execution instead of re-executing.
+/// Threading: the server runs exactly `worker_threads` threads, and
+/// they wait on the server's fds themselves, in one epoll set that
+/// holds the listen fd, a shutdown eventfd and every connection (armed
+/// EPOLLONESHOT; see FramedConnection). The worker a request wakes
+/// reads it, deduplicates it, runs the handler and completes the call:
+/// it records the reply in the shared DedupCache, then writes it to
+/// every connection waiting on the call. A connection is re-armed as
+/// soon as its bytes are read, so its next request wakes another
+/// worker while this one runs the handler, and the extra frames of a
+/// multi-frame read go to further workers. A retry arriving while the
+/// original execution is still running attaches to that execution
+/// instead of re-executing.
 ///
 /// At-most-once holds per server incarnation: the dedup table is in
 /// memory, so a kill -9 erases it and a retried call from before the
@@ -70,11 +71,13 @@ class RpcServer {
   /// Register before Start(); the method table is immutable afterwards.
   void RegisterMethod(std::string method, Handler handler);
 
-  /// Binds, listens, and spins up the loop + worker threads.
+  /// Binds, listens, and starts the worker threads.
   Status Start();
 
-  /// Graceful: sends kGoodbye on every open connection, stops
-  /// accepting, drains workers, joins all threads. Idempotent.
+  /// Graceful: stops accepting, sends kGoodbye on every open
+  /// connection, lets each worker finish (and reply to) the call it is
+  /// running, joins them, and unlinks a Unix socket path that still
+  /// names the socket Start bound. Idempotent.
   void Shutdown();
 
   /// Valid after Start(); ephemeral TCP ports are resolved here.
@@ -84,40 +87,48 @@ class RpcServer {
   const rpc::DedupCache& dedup() const { return dedup_; }
 
  private:
-  struct WorkItem {
-    uint64_t client_id = 0;
-    uint64_t call_id = 0;
-    std::string method;
-    std::string payload;
-  };
   using CallKey = std::pair<uint64_t, uint64_t>;  // (client, call)
-
-  // Loop-thread-only.
-  void AcceptPending();
-  void OnFrame(uint64_t conn_id, Frame frame);
-  void DropConnection(uint64_t conn_id);
+  /// epoll tokens; connection tokens count up from 1.
+  static constexpr uint64_t kListenToken = 0;
+  static constexpr uint64_t kShutdownToken = ~uint64_t{0};
 
   void WorkerMain();
-  /// Worker: records the reply, then writes it to every waiter.
+  void AcceptPending() EXCLUDES(conns_mu_);
+  /// Reads the connection behind `token` and runs the request it
+  /// yields, if any.
+  void ServeConnection(uint64_t token) EXCLUDES(conns_mu_);
+  void HandleFrame(uint64_t token,
+                   const std::shared_ptr<FramedConnection>& conn,
+                   Frame frame) EXCLUDES(conns_mu_, in_flight_mu_);
+  void DropConnection(uint64_t token, FramedConnection* conn)
+      EXCLUDES(conns_mu_);
+  /// Records the reply, then writes it to every waiter.
   void CompleteCall(uint64_t client_id, uint64_t call_id,
                     const Status& status, const std::string& payload)
       EXCLUDES(in_flight_mu_);
+  void CloseFds();
 
   const Address address_;
   const Options options_;
   Address bound_;
   int listen_fd_ = -1;
+  int epoll_fd_ = -1;
+  int shutdown_fd_ = -1;
+  /// The bound Unix socket's inode, so Shutdown unlinks only its own.
+  uint64_t socket_dev_ = 0;
+  uint64_t socket_ino_ = 0;
   bool started_ = false;
   bool shut_down_ = false;
 
-  EventLoop loop_;
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
-
-  // Owned by the loop thread after Start().
-  uint64_t next_conn_id_ = 1;
-  std::unordered_map<uint64_t, std::shared_ptr<FramedConnection>> conns_;
   std::unordered_map<std::string, Handler> methods_;
+
+  /// Held to look up, add or remove a connection; taken before a
+  /// connection's own mutexes, never while holding one.
+  Mutex conns_mu_;
+  uint64_t next_token_ GUARDED_BY(conns_mu_) = 1;
+  bool accepting_ GUARDED_BY(conns_mu_) = true;
+  std::unordered_map<uint64_t, std::shared_ptr<FramedConnection>> conns_
+      GUARDED_BY(conns_mu_);
 
   /// Leaf: never held while sending or taking another lock.
   Mutex in_flight_mu_;
@@ -129,15 +140,12 @@ class RpcServer {
 
   rpc::DedupCache dedup_;
 
-  Mutex queue_mu_;
-  CondVar queue_cv_;
-  std::deque<WorkItem> queue_ GUARDED_BY(queue_mu_);
-  bool stopping_ GUARDED_BY(queue_mu_) = false;
-
   std::atomic<uint64_t> requests_received_{0};
   std::atomic<uint64_t> requests_executed_{0};
   std::atomic<uint64_t> duplicate_in_flight_{0};
   std::atomic<uint64_t> protocol_errors_{0};
+
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace concord::net

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <random>
@@ -396,13 +397,13 @@ TEST(LoopbackRpc, ConnectsLazilyAndRidesOutSlowServerStart) {
   RpcChannel::Options options;
   options.call_timeout_ms = 10000;
   RpcChannel channel(1, address, options);
+  RpcServer server(address);
+  server.RegisterMethod("test/echo",
+                        [](const std::string& request)
+                            -> Result<std::string> { return request; });
   std::thread late_server([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    static RpcServer* server = new RpcServer(address);
-    server->RegisterMethod("test/echo",
-                           [](const std::string& request)
-                               -> Result<std::string> { return request; });
-    ASSERT_TRUE(server->Start().ok());
+    ASSERT_TRUE(server.Start().ok());
   });
   auto reply = channel.Call("test/echo", "patient");
   late_server.join();
@@ -410,6 +411,7 @@ TEST(LoopbackRpc, ConnectsLazilyAndRidesOutSlowServerStart) {
   EXPECT_EQ(*reply, "patient");
   EXPECT_GT(channel.stats().connect_failures, 0u);
   channel.Shutdown();
+  server.Shutdown();
 }
 
 // Raw wire helpers: speak the protocol directly to control call ids.
@@ -425,9 +427,14 @@ int RawConnect(const Address& address) {
   return *connecting;
 }
 
-void RawSendRequest(int fd, const RequestEnvelope& request) {
+std::string RequestFrame(const RequestEnvelope& request) {
   std::string wire;
   AppendFrame(&wire, FrameType::kRequest, EncodeRequestEnvelope(request));
+  return wire;
+}
+
+void RawSendRequest(int fd, const RequestEnvelope& request) {
+  std::string wire = RequestFrame(request);
   ASSERT_EQ(write(fd, wire.data(), wire.size()),
             static_cast<ssize_t>(wire.size()));
 }
@@ -660,8 +667,8 @@ TEST(LoopbackRpc, SlowHandlerTimesOutWithoutStallingChannelOrLoop) {
   // A handler that outlives call_timeout_ms: its call fails in doubt,
   // its late reply is dropped, the next call on the same channel works
   // (the timed-out reader handed its role over), and while the handler
-  // still blocks a second channel is served promptly (the loop never
-  // runs handlers).
+  // still blocks a second channel is served promptly (a blocked handler
+  // holds only the worker running it).
   Address address = Address::Unix(TestSocketPath("slow"));
   RpcServer::Options server_options;
   server_options.worker_threads = 2;
@@ -715,6 +722,213 @@ TEST(LoopbackRpc, SlowHandlerTimesOutWithoutStallingChannelOrLoop) {
   other.Shutdown();
   channel.Shutdown();
   server.Shutdown();
+}
+
+TEST(LoopbackRpc, TwoRequestsInOneWriteRunConcurrently) {
+  // Two request frames reach the server in one write(2), and the first
+  // handler cannot finish until the second has run: the server must
+  // run them side by side, not one behind the other.
+  Address address = Address::Unix(TestSocketPath("pair"));
+  RpcServer server(address);
+  std::atomic<bool> second_ran{false};
+  server.RegisterMethod("test/first",
+                        [&](const std::string&) -> Result<std::string> {
+                          bool saw = WaitUntil([&] { return second_ran.load(); });
+                          return std::string(saw ? "saw second" : "alone");
+                        });
+  server.RegisterMethod("test/second",
+                        [&](const std::string&) -> Result<std::string> {
+                          second_ran = true;
+                          return std::string("second");
+                        });
+  ASSERT_TRUE(server.Start().ok());
+
+  int fd = RawConnect(address);
+  ASSERT_GE(fd, 0);
+  RequestEnvelope first;
+  first.client_id = 80;
+  first.call_id = 1;
+  first.method = "test/first";
+  first.payload = "x";
+  RequestEnvelope second = first;
+  second.call_id = 2;
+  second.method = "test/second";
+  std::string wire = RequestFrame(first) + RequestFrame(second);
+  ASSERT_EQ(write(fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+
+  FrameDecoder decoder;
+  std::map<uint64_t, std::string> replies;
+  for (int i = 0; i < 2; ++i) {
+    auto frame = RawReadFrame(fd, &decoder);
+    ASSERT_TRUE(frame.has_value());
+    auto reply = DecodeReplyEnvelope(frame->payload);
+    ASSERT_TRUE(reply.ok());
+    replies[reply->call_id] = reply->payload;
+  }
+  CloseFd(fd);
+  EXPECT_EQ(replies[1], "saw second");
+  EXPECT_EQ(replies[2], "second");
+  EXPECT_EQ(server.stats().requests_executed, 2u);
+  server.Shutdown();
+}
+
+TEST(LoopbackRpc, PeerThatStopsReadingStallsOnlyItself) {
+  // A raw peer asks for a reply far larger than the socket buffers and
+  // reads none of it. Another channel is still served promptly, and
+  // the stalled peer later reads the whole reply intact.
+  Address address = Address::Unix(TestSocketPath("stall"));
+  RpcServer server(address);
+  std::string big(4 << 20, 'b');
+  for (size_t i = 0; i < big.size(); i += 4096) big[i] = char('a' + i % 26);
+  server.RegisterMethod("test/big",
+                        [&](const std::string&) -> Result<std::string> {
+                          return big;
+                        });
+  server.RegisterMethod("test/echo",
+                        [](const std::string& payload)
+                            -> Result<std::string> { return payload; });
+  ASSERT_TRUE(server.Start().ok());
+
+  int fd = RawConnect(address);
+  ASSERT_GE(fd, 0);
+  RequestEnvelope request;
+  request.client_id = 81;
+  request.call_id = 1;
+  request.method = "test/big";
+  request.payload = "x";
+  RawSendRequest(fd, request);
+  ASSERT_TRUE(
+      WaitUntil([&] { return server.stats().requests_executed == 1; }));
+
+  RpcChannel::Options options;
+  options.call_timeout_ms = 5000;
+  RpcChannel other(2, address, options);
+  auto start = std::chrono::steady_clock::now();
+  auto prompt = other.Call("test/echo", "prompt");
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(prompt.ok()) << prompt.status().ToString();
+  EXPECT_EQ(*prompt, "prompt");
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+
+  FrameDecoder decoder;
+  EXPECT_TRUE(RawReadReplyPayload(fd, &decoder) == big);
+  CloseFd(fd);
+  other.Shutdown();
+  server.Shutdown();
+}
+
+TEST(LoopbackRpc, ShutdownDeliversBlockedReplyAndSaysGoodbye) {
+  // Shutdown while a handler blocks: an idle connection gets kGoodbye
+  // and then EOF, and the blocked call's reply still reaches its
+  // connection before EOF.
+  Address address = Address::Unix(TestSocketPath("drain"));
+  RpcServer server(address);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  server.RegisterMethod("test/blocking",
+                        [&](const std::string&) -> Result<std::string> {
+                          entered = true;
+                          WaitUntil([&] { return release.load(); });
+                          return std::string("drained");
+                        });
+  server.RegisterMethod("test/echo",
+                        [](const std::string& payload)
+                            -> Result<std::string> { return payload; });
+  ASSERT_TRUE(server.Start().ok());
+
+  RequestEnvelope request;
+  request.client_id = 82;
+  request.call_id = 1;
+  request.method = "test/echo";
+  request.payload = "hello";
+  int idle = RawConnect(address);
+  ASSERT_GE(idle, 0);
+  FrameDecoder idle_decoder;
+  RawSendRequest(idle, request);  // one call, so the server holds it
+  ASSERT_EQ(RawReadReplyPayload(idle, &idle_decoder), "hello");
+
+  int busy = RawConnect(address);
+  ASSERT_GE(busy, 0);
+  request.call_id = 2;
+  request.method = "test/blocking";
+  RawSendRequest(busy, request);
+  ASSERT_TRUE(WaitUntil([&] { return entered.load(); }));
+
+  std::thread shutdown([&] { server.Shutdown(); });
+  auto goodbye = RawReadFrame(idle, &idle_decoder);
+  ASSERT_TRUE(goodbye.has_value());
+  EXPECT_EQ(goodbye->type, FrameType::kGoodbye);
+  release = true;
+
+  FrameDecoder busy_decoder;
+  std::optional<std::string> reply;
+  while (auto frame = RawReadFrame(busy, &busy_decoder)) {
+    if (frame->type != FrameType::kReply) continue;
+    auto envelope = DecodeReplyEnvelope(frame->payload);
+    ASSERT_TRUE(envelope.ok());
+    reply = envelope->payload;
+  }
+  EXPECT_EQ(reply, std::optional<std::string>("drained"));
+  EXPECT_FALSE(RawReadFrame(idle, &idle_decoder).has_value());  // EOF
+  shutdown.join();
+  CloseFd(idle);
+  CloseFd(busy);
+}
+
+/// Threads of this process, from /proc/self/task.
+size_t ProcessThreads() {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(LoopbackRpc, ServerRunsExactlyItsWorkerThreads) {
+  RpcServer::Options options;
+  options.worker_threads = 3;
+  RpcServer server(Address::Unix(TestSocketPath("threads")), options);
+  // A thread can stay listed for a moment after its join returns, so
+  // let earlier tests' threads finish leaving before counting.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  size_t before = ProcessThreads();
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(ProcessThreads(), before + 3);
+  server.Shutdown();
+  EXPECT_TRUE(WaitUntil([&] { return ProcessThreads() == before; }))
+      << ProcessThreads() << " threads, " << before << " before Start";
+}
+
+TEST(LoopbackRpc, ShutdownUnlinksOnlyItsOwnSocketPath) {
+  // The path is gone after Shutdown...
+  Address address = Address::Unix(TestSocketPath("unlink"));
+  RpcServer alone(address);
+  ASSERT_TRUE(alone.Start().ok());
+  EXPECT_TRUE(std::filesystem::exists(address.path));
+  alone.Shutdown();
+  EXPECT_FALSE(std::filesystem::exists(address.path));
+
+  // ...unless a later server re-bound it: that one keeps its socket.
+  auto handler = [](const std::string& payload) -> Result<std::string> {
+    return payload;
+  };
+  RpcServer first(address);
+  first.RegisterMethod("test/echo", handler);
+  ASSERT_TRUE(first.Start().ok());
+  RpcServer second(address);
+  second.RegisterMethod("test/echo", handler);
+  ASSERT_TRUE(second.Start().ok());
+  first.Shutdown();
+  EXPECT_TRUE(std::filesystem::exists(address.path));
+  RpcChannel channel(1, address);
+  auto reply = channel.Call("test/echo", "still bound");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  channel.Shutdown();
+  second.Shutdown();
+  EXPECT_FALSE(std::filesystem::exists(address.path));
 }
 
 TEST(LoopbackRpc, GarbageSpeakerIsTornDownWithoutHarmingOthers) {

@@ -21,6 +21,8 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -36,8 +38,29 @@ namespace {
 using testing::ChildProcess;
 using testing::RunToCompletion;
 
+/// A fresh /tmp/concord_crash_* directory for one plane's data dirs and
+/// sockets. Removed when the test passed; kept for inspection, with its
+/// path printed, when the test failed.
 struct PlaneDirs {
-  std::string root;
+  PlaneDirs() {
+    char tmpl[] = "/tmp/concord_crash_XXXXXX";
+    char* dir = mkdtemp(tmpl);
+    EXPECT_NE(dir, nullptr);
+    owned = dir != nullptr;
+    root = owned ? dir : "/tmp";
+  }
+  ~PlaneDirs() {
+    if (!owned) return;
+    if (::testing::Test::HasFailure()) {
+      std::fprintf(stderr, "keeping %s for inspection\n", root.c_str());
+      return;
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(root, ec);
+  }
+  PlaneDirs(const PlaneDirs&) = delete;
+  PlaneDirs& operator=(const PlaneDirs&) = delete;
+
   std::string DataDir(int shard) const {
     return root + "/shard" + std::to_string(shard);
   }
@@ -45,14 +68,10 @@ struct PlaneDirs {
     return root + "/s" + std::to_string(shard) + ".sock";
   }
   std::string Addr(int shard) const { return "unix:" + SocketPath(shard); }
-};
 
-PlaneDirs MakePlaneDirs() {
-  char tmpl[] = "/tmp/concord_crash_XXXXXX";
-  char* dir = mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return PlaneDirs{dir == nullptr ? "/tmp" : dir};
-}
+  std::string root;
+  bool owned = false;
+};
 
 ChildProcess StartServer(const PlaneDirs& dirs, int shard,
                          bool expect_ready = true) {
@@ -139,7 +158,7 @@ void VerifyCommitted(
 }
 
 TEST(ProcessCrash, SingleShardSurvivesKillNineMidCommitStream) {
-  PlaneDirs dirs = MakePlaneDirs();
+  PlaneDirs dirs;
   ChildProcess server = StartServer(dirs, 0);
 
   ChildProcess client = ChildProcess::Spawn(
@@ -192,7 +211,7 @@ TEST(ProcessCrash, SingleShardSurvivesKillNineMidCommitStream) {
 }
 
 TEST(ProcessCrash, CrossShardTwoPhaseCommitSurvivesParticipantKill) {
-  PlaneDirs dirs = MakePlaneDirs();
+  PlaneDirs dirs;
   ChildProcess shard0 = StartServer(dirs, 0);
   ChildProcess shard1 = StartServer(dirs, 1);
   std::vector<std::string> servers = {dirs.Addr(0), dirs.Addr(1)};
@@ -250,7 +269,7 @@ TEST(ProcessCrash, CrossShardTwoPhaseCommitSurvivesParticipantKill) {
 }
 
 TEST(ProcessCrash, AbortedCheckinsStayInvisibleAcrossRestart) {
-  PlaneDirs dirs = MakePlaneDirs();
+  PlaneDirs dirs;
   ChildProcess server = StartServer(dirs, 0);
 
   // Every checkin violates the schema bound: the participant votes no,
@@ -280,7 +299,7 @@ TEST(ProcessCrash, ClientsWithDistinctIdsShareOneServer) {
   // and 2PC transaction ids: two clients streaming commits into one
   // concordd must never collide on a server-side registration.
   constexpr uint64_t kOps = 200;
-  PlaneDirs dirs = MakePlaneDirs();
+  PlaneDirs dirs;
   ChildProcess server = StartServer(dirs, 0);
   auto churn = [&](int id, int da, int value_base) {
     return ChildProcess::Spawn(
@@ -322,7 +341,7 @@ TEST(ProcessCrash, ClientIdOutsideNodeIdRangeIsRefused) {
 }
 
 TEST(ProcessCrash, WalLockReclaimedFromDeadPidButRefusedWhileHeld) {
-  PlaneDirs dirs = MakePlaneDirs();
+  PlaneDirs dirs;
 
   // kill -9 leaves the LOCK file (with the dead holder's pid) behind;
   // the next incarnation must reclaim it and serve.
