@@ -6,10 +6,9 @@
 //   BM_RttUnixSocket  net::RpcChannel -> net::RpcServer over a
 //                     Unix-domain socket (the single-host deployment)
 //   BM_RttUnixSocketConcurrent
-//                     same, 4 threads sharing one channel: the
-//                     multiplexed shape (one caller reads the socket
-//                     for all of them) that the single-caller fast
-//                     path must not break
+//                     same, 4 threads sharing one channel: they take
+//                     turns, so each call's time includes its wait
+//                     behind the others
 //   BM_RttTcpLoopback same over TCP 127.0.0.1 (the LAN deployment)
 //   BM_RttSimulated   rpc::TransactionalRpc over the in-memory Network
 //                     (no syscalls — the floor the socket legs chase)

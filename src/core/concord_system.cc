@@ -29,7 +29,6 @@ ConcordSystem::ConcordSystem(SystemConfig config)
       plane_(config.seed ^ 0x9e37,
              static_cast<size_t>(std::max(1, config.server_nodes)),
              std::max(1, config.partitions_per_node),
-             config.pin_executor_cores,
              [this](storage::SchemaCatalog* schema) {
                dots_ = vlsi::RegisterVlsiSchema(schema);
              }) {

@@ -44,10 +44,6 @@ struct SystemConfig {
   /// 1 (the default) spawns no executor threads and reproduces the
   /// classic single-executor behaviour bit-identically.
   int partitions_per_node = 1;
-  /// Pin each partition executor thread to a CPU core (Linux pthread
-  /// affinity; silent no-op on platforms without it). Off by default —
-  /// pinning helps dedicated server boxes and hurts shared ones.
-  bool pin_executor_cores = false;
 };
 
 /// The assembled CONCORD system (Fig. 8): a ServerPlane of one or more

@@ -10,7 +10,7 @@
 namespace concord::core {
 
 ServerPlane::ServerPlane(uint64_t network_seed, size_t nodes, int partitions,
-                         bool pin_executor_cores, const SchemaFn& define_schema)
+                         const SchemaFn& define_schema)
     : network_(&clock_, network_seed), rpc_(&network_) {
   nodes = std::max<size_t>(1, nodes);
   const bool sharded = nodes > 1;
@@ -32,7 +32,7 @@ ServerPlane::ServerPlane(uint64_t network_seed, size_t nodes, int partitions,
   for (auto& shard : shards_) {
     shard->tm = std::make_unique<txn::ServerTm>(
         shard->repo.get(), &network_, shard->node, this, bus_.get(),
-        partitions, pin_executor_cores);
+        partitions);
     if (sharded) shard->tm->JoinPlane(&placement_);
     // Server-side half of the ServerService protocol: every client-TM
     // envelope lands here as a real, countable RPC.

@@ -63,7 +63,7 @@ class ServerPlane : public txn::ScopeAuthority {
   /// than one node the TMs join the plane and the CM places DAs across
   /// it; a one-node plane is the classic single-server system.
   ServerPlane(uint64_t network_seed, size_t nodes, int partitions,
-              bool pin_executor_cores, const SchemaFn& define_schema);
+              const SchemaFn& define_schema);
   ~ServerPlane() override;
   ServerPlane(const ServerPlane&) = delete;
   ServerPlane& operator=(const ServerPlane&) = delete;

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/logging.h"
 #include "net/wire.h"
@@ -18,6 +17,10 @@ namespace concord::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Reconnect backoff: doubles from the first to the last.
+constexpr int64_t kBackoffInitialMs = 10;
+constexpr int64_t kBackoffMaxMs = 1000;
 
 /// Milliseconds left until `deadline`, rounded up so a sub-millisecond
 /// remainder still waits; 0 once it has passed.
@@ -65,11 +68,14 @@ Result<int> Connect(const Address& server, Clock::time_point deadline) {
   return fd;
 }
 
-/// Waits for the socket to turn readable, reads once, and decodes every
-/// complete reply frame into `replies`. OK when the link is still
-/// usable (possibly with no reply yet), else why it broke.
-Status ReadReplies(int fd, FrameDecoder* decoder, Clock::time_point deadline,
-                   std::vector<ReplyEnvelope>* replies) {
+/// Waits for the socket to turn readable, reads once, and decodes
+/// complete frames until the reply to `call_id`, which lands in
+/// `reply`. Replies to other ids answer earlier, abandoned calls and
+/// are dropped. OK when the link is still usable (possibly with no
+/// reply yet), else why it broke.
+Status ReadReply(int fd, FrameDecoder* decoder, uint64_t call_id,
+                 Clock::time_point deadline,
+                 std::optional<ReplyEnvelope>* reply) {
   pollfd pfd{fd, POLLIN, 0};
   int rc = ::poll(&pfd, 1, RemainingMs(deadline));
   if (rc <= 0) return Status::OK();  // deadline, or EINTR: caller re-checks
@@ -83,66 +89,57 @@ Status ReadReplies(int fd, FrameDecoder* decoder, Clock::time_point deadline,
     return Status::Unavailable(std::string("read: ") + std::strerror(errno));
   }
   decoder->Feed(std::string_view(buf, static_cast<size_t>(n)));
-  for (;;) {
+  while (!reply->has_value()) {
     auto frame = decoder->Next();
     if (!frame.ok()) {
       if (frame.status().IsUnavailable()) return Status::OK();  // need more
       return frame.status();
     }
     // kGoodbye: the server is going away; the EOF after it breaks the
-    // link and the repair path reconnects.
+    // link and the call reconnects.
     if (frame->type == FrameType::kGoodbye) continue;
     if (frame->type != FrameType::kReply) {
       return Status::ProtocolViolation("unexpected frame type");
     }
-    auto reply = DecodeReplyEnvelope(frame->payload);
-    if (!reply.ok()) return reply.status();
-    replies->push_back(std::move(*reply));
+    auto decoded = DecodeReplyEnvelope(frame->payload);
+    if (!decoded.ok()) return decoded.status();
+    if (decoded->call_id == call_id) *reply = std::move(*decoded);
   }
+  return Status::OK();
 }
 
 }  // namespace
-
-RpcChannel::Link::~Link() { CloseFd(fd); }
 
 RpcChannel::RpcChannel(uint64_t client_id, Address server, Options options)
     : client_id_(client_id),
       server_(std::move(server)),
       options_(options),
-      backoff_ms_(options.connect_backoff_initial_ms) {}
+      backoff_ms_(kBackoffInitialMs) {}
 
 RpcChannel::~RpcChannel() { Shutdown(); }
 
 void RpcChannel::Shutdown() {
-  std::shared_ptr<Link> link;
-  {
-    MutexLock lock(&mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
-    link = std::move(link_);
-    for (auto& [id, call] : outstanding_) {
-      (void)id;
-      call->done = true;
-      call->status = Status::Unavailable("rpc channel shut down");
-      call->cv.NotifyAll();
-    }
-    outstanding_.clear();
-  }
-  if (link != nullptr) {
-    // Best effort: a writer stuck on a full socket keeps send_mu_, and
-    // the shutdown below is what unblocks it.
-    if (send_mu_.try_lock()) {
+  MutexLock lock(&mu_);
+  if (shut_down_) return;
+  shut_down_ = true;
+  cv_.NotifyAll();  // fails queued callers, ends a backoff wait
+  if (fd_ >= 0) {
+    // Best effort, and only on an idle socket: a running call may be
+    // part-way through writing its frame.
+    if (!turn_taken_) {
       std::string goodbye;
       AppendFrame(&goodbye, FrameType::kGoodbye, "bye");
-      (void)!::send(link->fd, goodbye.data(), goodbye.size(),
+      (void)!::send(fd_, goodbye.data(), goodbye.size(),
                     MSG_NOSIGNAL | MSG_DONTWAIT);
-      send_mu_.unlock();
     }
-    // Wakes a reader blocked in poll and fails any writer.
-    ::shutdown(link->fd, SHUT_RDWR);
+    // Wakes the running call blocked in poll and fails its writes.
+    ::shutdown(fd_, SHUT_RDWR);
   }
-  MutexLock lock(&mu_);
   idle_cv_.Wait(&mu_, [this]() REQUIRES(mu_) { return active_calls_ == 0; });
+  if (fd_ >= 0) {
+    CloseFd(fd_);
+    fd_ = -1;
+  }
 }
 
 RpcChannelStats RpcChannel::stats() const {
@@ -159,105 +156,86 @@ Result<std::string> RpcChannel::Call(const std::string& method,
                                      const std::string& payload) {
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(options_.call_timeout_ms);
-  PendingCall call;
+  MutexLock lock(&mu_);
+  if (shut_down_) return Status::Unavailable("rpc channel shut down");
+  calls_.fetch_add(1, std::memory_order_relaxed);
+  ++active_calls_;
+  // Callers take turns; the wait counts against this call's deadline.
+  while (turn_taken_ && !shut_down_ && Clock::now() < deadline) {
+    cv_.WaitFor(&mu_, std::max(RemainingMs(deadline), 1));
+  }
+  Result<std::string> result = Status::Unavailable("rpc channel shut down");
+  if (!turn_taken_) {
+    turn_taken_ = true;
+    result = RunTurn(method, payload, deadline);
+    turn_taken_ = false;
+  } else if (!shut_down_) {
+    result = TimedOut();
+  }
+  // Hands the free turn on; a caller leaving the queue on its deadline
+  // also passes on a wake-up it may have taken.
+  if (!turn_taken_) cv_.NotifyOne();
+  if (--active_calls_ == 0 && shut_down_) idle_cv_.NotifyAll();
+  return result;
+}
+
+Result<std::string> RpcChannel::RunTurn(const std::string& method,
+                                        const std::string& payload,
+                                        Clock::time_point deadline) {
   RequestEnvelope request;
   request.client_id = client_id_;
+  request.call_id = next_call_id_++;
+  // Every earlier call has finished (replied or abandoned), so this
+  // call's own id is the lowest the channel may still re-send.
+  request.acked_below = request.call_id;
   request.method = method;
   request.payload = payload;
-  std::shared_ptr<Link> link;
-  {
-    MutexLock lock(&mu_);
-    if (shut_down_) return Status::Unavailable("rpc channel shut down");
-    request.call_id = next_call_id_++;
-    // Call ids are monotonic; everything below the lowest id still
-    // outstanding is complete (replied or abandoned) and will never be
-    // retried by this channel.
-    request.acked_below =
-        outstanding_.empty() ? request.call_id : outstanding_.begin()->first;
-    AppendFrame(&call.frame, FrameType::kRequest,
-                EncodeRequestEnvelope(request));
-    outstanding_[request.call_id] = &call;
-    ++active_calls_;
-    link = link_;
-  }
-  calls_.fetch_add(1, std::memory_order_relaxed);
-  // With no link yet, the caller that repairs it sends this frame.
-  if (link != nullptr) {
-    Send(link, std::span<const std::string>(&call.frame, 1), deadline);
-  }
-
-  MutexLock lock(&mu_);
-  return Await(request.call_id, &call, deadline);
-}
-
-Result<std::string> RpcChannel::Await(uint64_t call_id, PendingCall* call,
-                                      Clock::time_point deadline) {
-  while (!call->done && Clock::now() < deadline) {
-    if (!reader_active_) {
-      reader_active_ = true;
-      ReadUntilDone(call, deadline);
-      reader_active_ = false;
+  std::string frame;
+  AppendFrame(&frame, FrameType::kRequest, EncodeRequestEnvelope(request));
+  bool sent_once = false;  // on any connection
+  bool written = false;    // on the current one
+  std::optional<ReplyEnvelope> reply;
+  while (!shut_down_) {
+    if (Clock::now() >= deadline) return TimedOut();
+    if (fd_ < 0) {
+      Reconnect(deadline);
+      written = false;
       continue;
     }
-    call->cv.WaitFor(&mu_, std::max(RemainingMs(deadline), 1));
-  }
-  // Abandon on timeout: once erased, this id is never retried, so it
-  // drops below acked_below and the server may forget it. A late reply
-  // finds no call and is dropped.
-  if (!call->done) outstanding_.erase(call_id);
-  // The reader role may be free with followers still waiting (this
-  // caller just gave it up, or was woken to take it and timed out).
-  if (!reader_active_) WakeNextReader();
-  if (--active_calls_ == 0 && shut_down_) idle_cv_.NotifyAll();
-  if (!call->done) {
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Unavailable("rpc call timed out after " +
-                               std::to_string(options_.call_timeout_ms) +
-                               "ms (in doubt)");
-  }
-  if (!call->status.ok()) return call->status;
-  return std::move(call->reply);
-}
-
-void RpcChannel::ReadUntilDone(PendingCall* call,
-                               Clock::time_point deadline) {
-  std::vector<ReplyEnvelope> replies;
-  while (!call->done && !shut_down_ && Clock::now() < deadline) {
-    if (link_ == nullptr) {
-      Reconnect(call, deadline);
-      continue;
-    }
-    std::shared_ptr<Link> link = link_;
+    const int fd = fd_;
     mu_.unlock();
-    Status read = ReadReplies(link->fd, &link->decoder, deadline, &replies);
-    mu_.lock();
-    for (ReplyEnvelope& reply : replies) {
-      auto it = outstanding_.find(reply.call_id);
-      if (it == outstanding_.end()) continue;  // abandoned (timed out)
-      PendingCall* target = it->second;
-      outstanding_.erase(it);
-      target->done = true;
-      target->status = std::move(reply.status);
-      target->reply = std::move(reply.payload);
-      // Under mu_: the target's caller may return (destroying the
-      // condvar) as soon as it can observe `done`.
-      target->cv.NotifyOne();
+    Status io = Status::OK();
+    if (!written) {
+      // Re-sending is safe: the server answers an id it already ran
+      // from its dedup cache.
+      if (sent_once) retries_.fetch_add(1, std::memory_order_relaxed);
+      sent_once = true;
+      written = WriteAll(fd, frame, deadline);
+      // A partly written frame leaves the stream unusable.
+      if (!written) io = Status::Unavailable("write failed");
     }
-    replies.clear();
-    if (!read.ok()) {
+    if (io.ok()) {
+      io = ReadReply(fd, &*decoder_, request.call_id, deadline, &reply);
+    }
+    mu_.lock();
+    if (reply.has_value()) {
+      if (!reply->status.ok()) return std::move(reply->status);
+      return std::move(reply->payload);
+    }
+    if (!io.ok()) {
       CONCORD_DEBUG("net", "connection to " << server_.ToString()
-                                            << " lost: " << read.message());
-      BreakLink(link);
+                                            << " lost: " << io.message());
+      BreakLink();
     }
   }
+  return Status::Unavailable("rpc channel shut down");
 }
 
-void RpcChannel::Reconnect(PendingCall* call, Clock::time_point deadline) {
-  while (!shut_down_ && Clock::now() < next_connect_) {
-    if (Clock::now() >= deadline) return;
-    call->cv.WaitFor(&mu_, std::max(RemainingMs(std::min(next_connect_,
-                                                         deadline)),
-                                    1));
+void RpcChannel::Reconnect(Clock::time_point deadline) {
+  // Shutdown ends this wait through cv_.
+  while (!shut_down_ && Clock::now() < std::min(next_connect_, deadline)) {
+    cv_.WaitFor(&mu_,
+                std::max(RemainingMs(std::min(next_connect_, deadline)), 1));
   }
   if (shut_down_ || Clock::now() >= deadline) return;
   mu_.unlock();
@@ -265,66 +243,35 @@ void RpcChannel::Reconnect(PendingCall* call, Clock::time_point deadline) {
   mu_.lock();
   if (!fd.ok()) {
     connect_failures_.fetch_add(1, std::memory_order_relaxed);
-    next_connect_ = Clock::now() + std::chrono::milliseconds(backoff_ms_);
-    backoff_ms_ = std::min(backoff_ms_ * 2, options_.connect_backoff_max_ms);
+    BreakLink();
     return;
   }
   if (shut_down_) {
     CloseFd(*fd);
     return;
   }
-  auto link = std::make_shared<Link>(*fd);
-  link_ = link;
-  backoff_ms_ = options_.connect_backoff_initial_ms;
-  bool reconnect = connected_once_;
+  fd_ = *fd;
+  decoder_.emplace();
+  backoff_ms_ = kBackoffInitialMs;
+  if (connected_once_) reconnects_.fetch_add(1, std::memory_order_relaxed);
   connected_once_ = true;
-  if (reconnect) reconnects_.fetch_add(1, std::memory_order_relaxed);
-  // Re-send every unreplied call, lowest id first. The server's dedup
-  // table answers the ones it already executed.
-  std::vector<std::string> frames;
-  for (const auto& [id, pending] : outstanding_) {
-    (void)id;
-    frames.push_back(pending->frame);
-  }
-  if (frames.empty()) return;
-  mu_.unlock();
-  Send(link, frames, deadline);
-  mu_.lock();
-  if (reconnect) {
-    retries_.fetch_add(frames.size(), std::memory_order_relaxed);
-  }
 }
 
-void RpcChannel::Send(const std::shared_ptr<Link>& link,
-                      std::span<const std::string> frames,
-                      Clock::time_point deadline) {
-  bool ok = true;
-  {
-    MutexLock lock(&send_mu_);
-    for (const std::string& frame : frames) {
-      ok = WriteAll(link->fd, frame, deadline);
-      if (!ok) break;
-    }
+void RpcChannel::BreakLink() {
+  if (fd_ >= 0) {
+    CloseFd(fd_);
+    fd_ = -1;
+    decoder_.reset();
   }
-  if (!ok) {
-    // A partly written frame leaves the stream unusable; the repair
-    // path re-sends every unreplied call on a fresh connection.
-    MutexLock lock(&mu_);
-    BreakLink(link);
-  }
+  next_connect_ = Clock::now() + std::chrono::milliseconds(backoff_ms_);
+  backoff_ms_ = std::min(backoff_ms_ * 2, kBackoffMaxMs);
 }
 
-void RpcChannel::BreakLink(const std::shared_ptr<Link>& link) {
-  if (link_ == link) {
-    link_.reset();
-    next_connect_ = Clock::now() + std::chrono::milliseconds(backoff_ms_);
-    backoff_ms_ = std::min(backoff_ms_ * 2, options_.connect_backoff_max_ms);
-  }
-  ::shutdown(link->fd, SHUT_RDWR);
-}
-
-void RpcChannel::WakeNextReader() {
-  if (!outstanding_.empty()) outstanding_.begin()->second->cv.NotifyOne();
+Status RpcChannel::TimedOut() {
+  timeouts_.fetch_add(1, std::memory_order_relaxed);
+  return Status::Unavailable("rpc call timed out after " +
+                             std::to_string(options_.call_timeout_ms) +
+                             "ms (in doubt)");
 }
 
 }  // namespace concord::net

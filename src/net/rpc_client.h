@@ -4,9 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <span>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -27,40 +25,38 @@ struct RpcChannelStats {
 };
 
 /// Client end of the socket RPC transport: one channel per server
-/// address, carrying synchronous Call()s from any number of threads.
+/// address, carrying synchronous Call()s — one at a time, the shape of
+/// a CONCORD critical interaction.
 ///
-/// The channel owns no thread; every socket operation runs on a
-/// calling thread. A caller encodes its request frame once and writes
-/// it itself under a per-channel send mutex. Replies are read by a
-/// Leader/Followers reader role: at most one waiting caller reads the
-/// socket, fulfils every reply it decodes (waking that call's
-/// caller), and hands the role to another waiter when its own reply
-/// arrives or its deadline passes. A lone caller is therefore woken by
-/// the socket itself.
+/// The channel owns no thread; every socket operation runs on the
+/// calling thread. Concurrent callers take turns: a caller waits for
+/// the turn (the wait counts against its deadline), then encodes its
+/// request frame, writes it, and reads the socket itself until its own
+/// reply arrives. A lone caller is therefore woken by the socket
+/// itself.
 ///
-/// Connection management is automatic and is also done by the reader
-/// (or by the first caller on a channel with no connection): the first
-/// call connects lazily; a broken connection (peer death, network
-/// error, server kGoodbye) is replaced after an exponential backoff
-/// (connect_backoff_initial_ms doubling to _max_ms), and every
-/// unreplied call is re-sent, lowest id first. Because call ids are
+/// Connection management is automatic and also runs inside the call
+/// holding the turn: the first call connects lazily; a broken
+/// connection (peer death, network error, server kGoodbye) is replaced
+/// after an exponential backoff (10 ms doubling to 1 s), and the call
+/// re-sends its own frame on the new connection. Because call ids are
 /// monotonic and the server deduplicates on (client_id, call_id),
 /// re-sending is safe: a call the server already executed is answered
 /// from its dedup cache, not run twice. Each request piggybacks
-/// acked_below — the lowest call id this channel may still retry —
-/// letting the server prune its cache.
+/// acked_below — the lowest call id this channel may still retry, which
+/// is the call's own id since every earlier call has finished — letting
+/// the server prune its cache.
 ///
 /// A Call that outlives its deadline fails with kUnavailable and is
 /// never retried again by this channel (its id is then below
-/// acked_below); the caller decides what an in-doubt outcome means —
-/// exactly the contract ClientTm already implements for the simulated
+/// acked_below); a late reply to it is read and dropped by a later
+/// call. The caller decides what an in-doubt outcome means — exactly
+/// the contract ClientTm already implements for the simulated
 /// transport.
 class RpcChannel {
  public:
   struct Options {
     int64_t call_timeout_ms = 10000;
-    int64_t connect_backoff_initial_ms = 10;
-    int64_t connect_backoff_max_ms = 1000;
   };
 
   /// `client_id` must be unique among clients of the target server —
@@ -77,9 +73,9 @@ class RpcChannel {
   Result<std::string> Call(const std::string& method,
                            const std::string& payload);
 
-  /// Fails outstanding calls, closes the connection, and waits until
-  /// every caller has left Call. Idempotent; also run by the
-  /// destructor.
+  /// Fails the running call and any queued ones, closes the connection,
+  /// and waits until every caller has left Call. Idempotent; also run
+  /// by the destructor.
   void Shutdown();
 
   RpcChannelStats stats() const;
@@ -88,67 +84,38 @@ class RpcChannel {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One connected socket. Writers and the reader each hold a
-  /// reference, so a repair that replaces the link never closes an fd
-  /// another thread is still using: the fd closes with the last
-  /// reference.
-  struct Link {
-    explicit Link(int socket_fd) : fd(socket_fd) {}
-    ~Link();
-    Link(const Link&) = delete;
-    Link& operator=(const Link&) = delete;
-
-    const int fd;
-    /// Touched only by the thread holding the reader role.
-    FrameDecoder decoder;
-  };
-
-  /// One in-flight call, on its caller's stack. Every field is guarded
-  /// by the channel's mu_, except that the caller may read `frame`,
-  /// which is set once before the call is published, without it.
-  struct PendingCall {
-    std::string frame;  // the encoded request, kept for resends
-    bool done = false;
-    Status status = Status::OK();
-    std::string reply;
-    CondVar cv;
-  };
-
-  /// Waits for the call's reply, taking the reader role when it is
-  /// free. Removes the call from outstanding_ before returning.
-  Result<std::string> Await(uint64_t call_id, PendingCall* call,
-                            Clock::time_point deadline) REQUIRES(mu_);
-  /// Reader role: reads the socket (repairing it when needed) until
-  /// `call` is done, the deadline passes, or the channel shuts down.
-  void ReadUntilDone(PendingCall* call, Clock::time_point deadline)
-      REQUIRES(mu_);
+  /// The call holding the turn: sends its frame (again after every
+  /// reconnect) and reads until its reply arrives, the deadline
+  /// passes, or the channel shuts down. Drops mu_ around socket I/O.
+  Result<std::string> RunTurn(const std::string& method,
+                              const std::string& payload,
+                              Clock::time_point deadline) REQUIRES(mu_);
   /// One connection attempt, after waiting out the backoff; on success
-  /// installs link_ and re-sends every unreplied call.
-  void Reconnect(PendingCall* call, Clock::time_point deadline)
-      REQUIRES(mu_);
-  /// Retires `link` if it is still current and wakes its reader.
-  void BreakLink(const std::shared_ptr<Link>& link) REQUIRES(mu_);
-  /// Wakes the lowest waiting call so it can take the free reader role.
-  void WakeNextReader() REQUIRES(mu_);
-  /// Writes whole frames under send_mu_; breaks the link on failure.
-  void Send(const std::shared_ptr<Link>& link,
-            std::span<const std::string> frames, Clock::time_point deadline)
-      EXCLUDES(mu_, send_mu_);
+  /// installs fd_.
+  void Reconnect(Clock::time_point deadline) REQUIRES(mu_);
+  /// Closes fd_, if open, and starts the next backoff.
+  void BreakLink() REQUIRES(mu_);
+  /// Counts a timeout and says so, in doubt.
+  Status TimedOut();
 
   const uint64_t client_id_;
   const Address server_;
   const Options options_;
 
-  /// Serializes frame writes, so frames never interleave on the
-  /// socket. Never held together with mu_.
-  Mutex send_mu_;
-
   Mutex mu_;
-  std::shared_ptr<Link> link_ GUARDED_BY(mu_);
-  /// Unreplied calls; ordered, so a resend walks ids low → high.
-  std::map<uint64_t, PendingCall*> outstanding_ GUARDED_BY(mu_);
+  /// Signalled when the turn is released and when the channel shuts
+  /// down (which also ends the turn holder's backoff wait).
+  CondVar cv_;
+  bool turn_taken_ GUARDED_BY(mu_) = false;
+  /// The connected socket, or -1. Only the turn holder opens or closes
+  /// it (Shutdown too, once no call runs), so the holder may use it with
+  /// mu_ dropped.
+  int fd_ GUARDED_BY(mu_) = -1;
+  /// fd_'s reassembler, fresh per connection. Touched only by the turn
+  /// holder; bytes of a late reply stay buffered here for the next call
+  /// to read and drop.
+  std::optional<FrameDecoder> decoder_;
   uint64_t next_call_id_ GUARDED_BY(mu_) = 1;
-  bool reader_active_ GUARDED_BY(mu_) = false;
   bool shut_down_ GUARDED_BY(mu_) = false;
   /// Threads inside Call; Shutdown waits on idle_cv_ for zero.
   int active_calls_ GUARDED_BY(mu_) = 0;

@@ -15,9 +15,7 @@
 namespace concord::net {
 
 RpcServer::RpcServer(Address address, Options options)
-    : address_(std::move(address)),
-      options_(options),
-      dedup_(options.dedup_capacity_per_peer) {}
+    : address_(std::move(address)), options_(options) {}
 
 RpcServer::~RpcServer() { Shutdown(); }
 

@@ -57,8 +57,6 @@ class RpcServer {
 
   struct Options {
     int worker_threads = 2;
-    /// Per-client cached-reply bound (rpc::DedupCache).
-    size_t dedup_capacity_per_peer = 1024;
   };
 
   explicit RpcServer(Address address)

@@ -43,7 +43,10 @@ struct DedupCacheStats {
 /// held across handler execution).
 class DedupCache {
  public:
-  explicit DedupCache(size_t per_peer_capacity = 1024)
+  /// The bound both RPC servers (socket and simulated) run with.
+  static constexpr size_t kPerPeerCapacity = 1024;
+
+  explicit DedupCache(size_t per_peer_capacity = kPerPeerCapacity)
       : per_peer_capacity_(per_peer_capacity == 0 ? 1 : per_peer_capacity) {}
   DedupCache(const DedupCache&) = delete;
   DedupCache& operator=(const DedupCache&) = delete;

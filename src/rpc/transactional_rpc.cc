@@ -38,7 +38,7 @@ Result<std::string> TransactionalRpc::Call(NodeId from, NodeId to,
   // pinned against it (see DedupCache).
   auto drop_dedup = [&] { dedup_.Erase(to.value(), call_id); };
 
-  for (int attempt = 0; attempt <= max_retries_; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
     if (attempt > 0) stats_.retries.fetch_add(1, std::memory_order_relaxed);
     // Request hop.
     Status sent = network_->Send(from, to);

@@ -57,15 +57,10 @@ class TransactionalRpc {
   /// A handler consumes a request payload and produces a reply payload.
   using Handler = std::function<Result<std::string>(const std::string&)>;
 
-  /// `dedup_capacity_per_peer` bounds the callee-side at-most-once
-  /// table (rpc::DedupCache). Entries of live retry loops are pinned,
-  /// so the bound only backstops leaks, never weakens at-most-once for
-  /// a call that may still be retried.
-  explicit TransactionalRpc(Network* network, int max_retries = 5,
-                            size_t dedup_capacity_per_peer = 1024)
-      : network_(network),
-        max_retries_(max_retries),
-        dedup_(dedup_capacity_per_peer) {}
+  /// The callee-side at-most-once table (rpc::DedupCache) pins the
+  /// entries of live retry loops, so its bound only backstops leaks,
+  /// never weakens at-most-once for a call that may still be retried.
+  explicit TransactionalRpc(Network* network) : network_(network) {}
   TransactionalRpc(const TransactionalRpc&) = delete;
   TransactionalRpc& operator=(const TransactionalRpc&) = delete;
 
@@ -101,6 +96,9 @@ class TransactionalRpc {
   void ResetStats();
 
  private:
+  /// Re-sends of one call after a lost message, before it fails.
+  static constexpr int kMaxRetries = 5;
+
   struct HandlerKey {
     NodeId node;
     std::string method;
@@ -114,7 +112,6 @@ class TransactionalRpc {
   };
 
   Network* network_;
-  int max_retries_;
   IdGenerator<MsgId> call_gen_;
   /// Guards handlers_ and calls_per_node_; leaf mutex, never held
   /// across a handler execution or a Network::Send.

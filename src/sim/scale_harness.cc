@@ -287,7 +287,7 @@ void DefineCellChipSchema(storage::SchemaCatalog* schema) {
 ScalePlane::ScalePlane(const ScaleConfig& config)
     : ServerPlane(config.seed ^ 0x9e3779b9,
                   std::max<size_t>(2, config.server_nodes), config.partitions,
-                  /*pin_executor_cores=*/false, DefineCellChipSchema) {
+                  DefineCellChipSchema) {
   const storage::SchemaCatalog& schema = shard(0).repo->schema();
   cell_dot_ = (*schema.GetTypeByName("cell"))->id();
   root_dot_ = (*schema.GetTypeByName("chip"))->id();

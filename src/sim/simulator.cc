@@ -48,7 +48,6 @@ MultiDesignerSimulation::MultiDesignerSimulation(SimulationOptions options)
   config.time_per_work_unit = kMillisecond;
   config.server_nodes = options_.server_nodes;
   config.partitions_per_node = options_.partitions_per_node;
-  config.pin_executor_cores = options_.pin_executor_cores;
   system_ = std::make_unique<core::ConcordSystem>(config);
 }
 

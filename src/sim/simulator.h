@@ -31,9 +31,6 @@ struct SimulationOptions {
   /// SystemConfig::partitions_per_node); with K >= 2 the report carries
   /// the coordinator's per-partition checkout split.
   int partitions_per_node = 1;
-  /// Pin partition executor threads to CPU cores (see
-  /// SystemConfig::pin_executor_cores).
-  bool pin_executor_cores = false;
 };
 
 /// Outcome of a simulation run.

@@ -3,10 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 #include <deque>
 #include <functional>
 #include <future>
@@ -72,20 +68,14 @@ struct PartitionQueueSnapshot {
 /// state and internally-synchronized leaves (repository shards, WAL).
 class PartitionEngine {
  public:
-  /// `pin_cores` pins executor p to CPU core p % hardware_concurrency
-  /// (Linux pthread affinity; a silent no-op on platforms without it,
-  /// and on single-core or oversubscribed boxes it degrades to the
-  /// scheduler's choice for the surplus executors).
-  explicit PartitionEngine(size_t partitions, bool pin_cores = false)
-      : partitions_(partitions) {
+  explicit PartitionEngine(size_t partitions) : partitions_(partitions) {
     if (partitions_ < 1) partitions_ = 1;
     if (partitions_ == 1) return;
     executors_.reserve(partitions_);
     for (size_t p = 0; p < partitions_; ++p) {
       executors_.push_back(std::make_unique<Executor>());
       Executor* ex = executors_.back().get();
-      ex->thread = std::thread([this, ex, p, pin_cores] {
-        if (pin_cores) PinToCore(p);
+      ex->thread = std::thread([this, ex, p] {
         // The executor owns partition p for its whole lifetime; the
         // role tag is what CONCORD_ASSERT_ON_PARTITION checks against.
         ScopedThreadRole role(ThreadRole::kPartitionExecutor,
@@ -270,21 +260,6 @@ class PartitionEngine {
       }
     }
     ex->cv.NotifyOne();
-  }
-
-  /// Best-effort CPU affinity for executor `p`, called on the executor
-  /// thread itself before it starts draining its mailbox.
-  static void PinToCore(size_t p) {
-#if defined(__linux__)
-    unsigned cores = std::thread::hardware_concurrency();
-    if (cores == 0) return;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(static_cast<int>(p % cores), &set);
-    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-    (void)p;
-#endif
   }
 
   void RunLoop(Executor* ex) {

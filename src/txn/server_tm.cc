@@ -77,15 +77,13 @@ const char* DopStateToString(DopState state) {
 
 ServerTm::ServerTm(storage::Repository* repository, rpc::Network* network,
                    NodeId server_node, ScopeAuthority* scope_authority,
-                   rpc::InvalidationBus* invalidations, int partitions,
-                   bool pin_executor_cores)
+                   rpc::InvalidationBus* invalidations, int partitions)
     : repository_(repository),
       network_(network),
       node_(server_node),
       scope_authority_(scope_authority),
       invalidations_(invalidations),
-      engine_(partitions < 1 ? 1 : static_cast<size_t>(partitions),
-              pin_executor_cores),
+      engine_(partitions < 1 ? 1 : static_cast<size_t>(partitions)),
       locks_(engine_.count()) {
   parts_.reserve(engine_.count());
   for (size_t p = 0; p < engine_.count(); ++p) {

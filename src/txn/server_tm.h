@@ -98,12 +98,9 @@ class ServerTm {
   /// server checkout would now fail. `partitions` is the number of
   /// executor partitions (1 = inline single-executor mode); the
   /// repository is re-sharded to match (must be traffic-free).
-  /// `pin_executor_cores` pins each executor thread to one CPU core
-  /// (Linux; silent no-op elsewhere).
   ServerTm(storage::Repository* repository, rpc::Network* network,
            NodeId server_node, ScopeAuthority* scope_authority,
-           rpc::InvalidationBus* invalidations = nullptr, int partitions = 1,
-           bool pin_executor_cores = false);
+           rpc::InvalidationBus* invalidations = nullptr, int partitions = 1);
   ~ServerTm();
   ServerTm(const ServerTm&) = delete;
   ServerTm& operator=(const ServerTm&) = delete;

@@ -335,7 +335,7 @@ TEST_P(LoopbackRpcTest, EchoAndConcurrentCallers) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(*reply, "echo:one");
 
-  // Concurrent callers multiplex one connection.
+  // Concurrent callers take turns on one connection.
   constexpr int kThreads = 4;
   constexpr int kCallsPerThread = 25;
   std::atomic<int> ok_replies{0};
@@ -720,6 +720,94 @@ TEST(LoopbackRpc, SlowHandlerTimesOutWithoutStallingChannelOrLoop) {
   EXPECT_EQ(channel.stats().timeouts, 1u);
   EXPECT_EQ(channel.stats().retries, 0u);
   other.Shutdown();
+  channel.Shutdown();
+  server.Shutdown();
+}
+
+TEST(LoopbackRpc, ChannelShutdownFailsRunningAndQueuedCalls) {
+  // Call A blocks in its handler and call B waits for its turn on the
+  // same channel: Shutdown from a third thread returns promptly and
+  // fails both, long before their deadlines.
+  Address address = Address::Unix(TestSocketPath("chanstop"));
+  RpcServer server(address);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  server.RegisterMethod("test/blocking",
+                        [&](const std::string&) -> Result<std::string> {
+                          entered = true;
+                          WaitUntil([&] { return release.load(); });
+                          return std::string("late");
+                        });
+  ASSERT_TRUE(server.Start().ok());
+
+  RpcChannel::Options options;
+  options.call_timeout_ms = 10000;
+  RpcChannel channel(1, address, options);
+  Status a = Status::OK();
+  Status b = Status::OK();
+  std::thread caller_a(
+      [&] { a = channel.Call("test/blocking", "a").status(); });
+  ASSERT_TRUE(WaitUntil([&] { return entered.load(); }));
+  std::thread caller_b(
+      [&] { b = channel.Call("test/blocking", "b").status(); });
+  ASSERT_TRUE(WaitUntil([&] { return channel.stats().calls == 2; }));
+
+  auto start = std::chrono::steady_clock::now();
+  std::thread stopper([&] { channel.Shutdown(); });
+  stopper.join();
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  caller_a.join();
+  caller_b.join();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+  EXPECT_TRUE(a.IsUnavailable()) << a.ToString();
+  EXPECT_TRUE(b.IsUnavailable()) << b.ToString();
+  EXPECT_EQ(channel.stats().timeouts, 0u);
+  release = true;
+  server.Shutdown();
+}
+
+TEST(LoopbackRpc, QueuedCallIsBoundedByItsOwnDeadline) {
+  // Call B waits for its turn behind call A, whose handler blocks; B's
+  // handler blocks too. The wait counts against B's own deadline, so B
+  // fails by that deadline, not a full timeout after A gave up. Once
+  // the handlers are released, the next call on the channel succeeds
+  // (the two late replies are read and dropped).
+  Address address = Address::Unix(TestSocketPath("queued"));
+  RpcServer server(address);
+  std::atomic<int> entered{0};
+  std::atomic<bool> release{false};
+  server.RegisterMethod("test/blocking",
+                        [&](const std::string&) -> Result<std::string> {
+                          ++entered;
+                          WaitUntil([&] { return release.load(); });
+                          return std::string("late");
+                        });
+  server.RegisterMethod("test/echo",
+                        [](const std::string& payload)
+                            -> Result<std::string> { return payload; });
+  ASSERT_TRUE(server.Start().ok());
+
+  RpcChannel::Options options;
+  options.call_timeout_ms = 400;
+  RpcChannel channel(1, address, options);
+  Status a = Status::OK();
+  std::thread caller_a(
+      [&] { a = channel.Call("test/blocking", "a").status(); });
+  ASSERT_TRUE(WaitUntil([&] { return entered.load() == 1; }));
+  auto start = std::chrono::steady_clock::now();
+  auto b = channel.Call("test/blocking", "b");
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  caller_a.join();
+  EXPECT_TRUE(a.IsUnavailable()) << a.ToString();
+  EXPECT_TRUE(b.status().IsUnavailable()) << b.status().ToString();
+  EXPECT_LT(elapsed,
+            std::chrono::milliseconds(options.call_timeout_ms + 200));
+  EXPECT_EQ(channel.stats().timeouts, 2u);
+
+  release = true;
+  auto next = channel.Call("test/echo", "next");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(*next, "next");
   channel.Shutdown();
   server.Shutdown();
 }

@@ -97,10 +97,12 @@ class ChildProcess {
     return out;
   }
 
-  /// Drains available stdout without blocking longer than `budget_ms`.
+  /// Reads stdout until a read completes at least one new line, EOF,
+  /// or `budget_ms` passes, whichever comes first.
   void Pump(int budget_ms = 0) {
     if (out_fd_ < 0) return;
     int64_t deadline = MonotonicMs() + budget_ms;
+    const size_t lines_before = lines_.size();
     do {
       struct pollfd pfd = {out_fd_, POLLIN, 0};
       int timeout = static_cast<int>(deadline - MonotonicMs());
@@ -114,6 +116,7 @@ class ChildProcess {
           lines_.push_back(partial_.substr(0, newline));
           partial_.erase(0, newline + 1);
         }
+        if (lines_.size() > lines_before) return;
       } else if (n == 0) {
         close(out_fd_);
         out_fd_ = -1;
