@@ -6,10 +6,11 @@
 // node-wide tables every thread used to collide on.
 //
 // Two workloads:
-//  - uniform checkout: every thread streams independent checkout
-//    envelopes (one ServerTm::Execute call each — what DispatchBatch
-//    does with an independent envelope) over 4096 pre-seeded DOVs,
-//    round-robin, so the DOVs spread evenly across partitions;
+//  - uniform checkout: every thread streams independent 64-checkout
+//    envelopes through txn::DispatchBatch (the path production runs:
+//    one ServerTm::Execute call per op, in envelope order) over 4096
+//    pre-seeded DOVs, round-robin, so the DOVs spread evenly across
+//    partitions;
 //  - checkin: every thread derives fresh versions (WAL append + scope
 //    lock per op; the shared WAL bounds this one, which is the point
 //    of reporting it).
@@ -44,6 +45,7 @@
 #include "rpc/network.h"
 #include "storage/repository.h"
 #include "txn/scope_authority.h"
+#include "txn/server_service.h"
 #include "txn/server_tm.h"
 
 namespace concord {
@@ -97,23 +99,21 @@ struct PartitionEnv {
 
   /// One independent checkout envelope for thread `t`, `kBatchOps`
   /// DOVs round-robin from its cursor.
-  std::vector<txn::ServerRequest> MakeBatch(int t, size_t cursor) {
-    std::vector<txn::ServerRequest> ops;
-    ops.reserve(kBatchOps);
+  txn::BatchRequest MakeBatch(int t, size_t cursor) {
+    txn::BatchRequest batch;
+    batch.independent = true;
+    batch.ops.reserve(kBatchOps);
     for (int i = 0; i < kBatchOps; ++i) {
-      ops.emplace_back(txn::CheckoutRequest{
+      batch.ops.emplace_back(txn::CheckoutRequest{
           DopId(t + 1), dovs[(cursor + static_cast<size_t>(i)) % dovs.size()],
           false});
     }
-    return ops;
+    return batch;
   }
 
-  /// Runs one envelope through the server-TM's executor.
-  std::vector<txn::ServerReply> Execute(
-      const std::vector<txn::ServerRequest>& ops) {
-    std::vector<txn::ServerReply> replies(ops.size());
-    tm->Execute(ops, replies);
-    return replies;
+  /// Runs one envelope through the server-side dispatch.
+  std::vector<txn::ServerReply> Execute(const txn::BatchRequest& batch) {
+    return txn::DispatchBatch(*tm, batch).ops;
   }
 };
 
@@ -124,7 +124,6 @@ void ReportPartitionCounters(benchmark::State& state,
   txn::ServerTmStats total = env.tm->stats();
   state.counters["checkouts"] = static_cast<double>(total.checkouts);
   state.counters["checkins"] = static_cast<double>(total.checkins);
-  state.counters["pipelined_ops"] = static_cast<double>(total.pipelined_ops);
   uint64_t min_part = ~uint64_t{0};
   uint64_t max_part = 0;
   uint64_t high_water = 0;

@@ -275,12 +275,9 @@ BatchReply DispatchBatch(ServerTm& server, const BatchRequest& batch) {
 
   BatchReply out;
   out.ops.resize(batch.ops.size());
-  // An independent envelope's data ops are order-free: one executor
-  // call runs them all as partition wavefronts, every executor the
-  // envelope touches working its slice at once. The loop below then
-  // only answers the control legs. A dependent envelope runs one op
-  // per call, so a failure can skip the rest.
-  if (batch.independent) server.Execute(batch.ops, out.ops, stage);
+  // Every data op is one executor call, in envelope order. A failure
+  // skips the rest of a dependent envelope; an independent envelope
+  // runs every op.
   bool failed = false;
   for (size_t i = 0; i < batch.ops.size(); ++i) {
     const ServerRequest& op = batch.ops[i];
@@ -296,13 +293,11 @@ BatchReply DispatchBatch(ServerTm& server, const BatchRequest& batch) {
       // ledger holds nothing — Decide acknowledges trivially. As a
       // standalone phase-2 envelope it resolves the staged txn.
       reply.status = server.Decide(decide->txn, decide->commit);
-    } else if (batch.independent) {
-      // Answered by the executor call above.
-    } else if (failed) {
+    } else if (failed && !batch.independent) {
       reply.status = Status::Aborted(
           "skipped: an earlier request in the batch failed");
     } else {
-      server.Execute({&op, 1}, {&reply, 1}, stage);
+      reply = server.Execute(op, stage);
     }
     if (!reply.status.ok()) failed = true;
   }

@@ -103,16 +103,15 @@ using ServerRequest =
                  PrepareRequest, DecideRequest>;
 
 /// The envelope: requests executed on the server, one round trip for
-/// the lot. By default the ops form a dependent chain executed in
-/// order: data requests after a failed data request are skipped (their
+/// the lot. DispatchBatch runs the data requests one ServerTm::Execute
+/// call each, in envelope order. By default the ops form a dependent
+/// chain: data requests after a failed data request are skipped (their
 /// reply carries kAborted) — so [Checkin, CommitDop] cannot commit a
 /// DOP whose checkin failed the integrity test — while the
 /// Prepare/Decide control legs always execute. Setting `independent`
-/// declares the ops unrelated and order-free: every one executes
-/// regardless of the others' failures, and the server-TM runs them as
-/// one set of partition wavefronts (ServerTm::Execute). The recovery
-/// warm-up uses this — one withdrawn input must not keep the
-/// still-visible ones cold.
+/// declares the ops unrelated: every one executes regardless of the
+/// others' failures. The recovery warm-up uses this — one withdrawn
+/// input must not keep the still-visible ones cold.
 struct BatchRequest {
   std::vector<ServerRequest> ops;
   bool independent = false;
@@ -202,10 +201,10 @@ class ServerStub final : public ServerService {
 
 /// Executes the envelope against a server-TM: the shared server-side
 /// dispatch behind every endpoint (ServerServiceHandler below).
-/// One loop serves every envelope shape. An independent envelope's data
-/// ops go to ServerTm::Execute in one call; a dependent envelope's go
-/// one op per call, so the skip-after-failure rule documented on
-/// BatchRequest holds. A phase-1 envelope ([Prepare, ops...] with no
+/// One loop serves every envelope shape: each data op is one
+/// ServerTm::Execute call, in envelope order, and the skip-after-failure
+/// rule documented on BatchRequest holds unless the envelope is
+/// independent. A phase-1 envelope ([Prepare, ops...] with no
 /// Decide) makes those calls staged ones, which stage its state changes
 /// in the server-TM's 2PC ledger, and persists the stage before the
 /// yes-vote.

@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
-#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -22,27 +20,6 @@ constexpr const char* kPreparedMetaPrefix = "2pc/";
 std::string PreparedLedgerKey(TxnId txn) {
   return kPreparedMetaPrefix + std::to_string(txn.value());
 }
-
-/// Bit of request type T in an op-kind mask (bit = variant index).
-template <typename T, size_t I = 0>
-constexpr uint32_t KindBit() {
-  if constexpr (std::is_same_v<T, std::variant_alternative_t<I, ServerRequest>>) {
-    return 1u << I;
-  } else {
-    return KindBit<T, I + 1>();
-  }
-}
-
-constexpr uint32_t kBegin = KindBit<BeginDopRequest>();
-constexpr uint32_t kCheckout = KindBit<CheckoutRequest>();
-constexpr uint32_t kCheckin = KindBit<CheckinRequest>();
-constexpr uint32_t kFinish =
-    KindBit<CommitDopRequest>() | KindBit<AbortDopRequest>();
-constexpr uint32_t kDaOfDop = KindBit<DaOfDopRequest>();
-constexpr uint32_t kControl =
-    KindBit<PrepareRequest>() | KindBit<DecideRequest>();
-
-uint32_t KindOf(const ServerRequest& op) { return 1u << op.index(); }
 
 /// The DOP a data op names (every data request carries one).
 DopId DopOf(const ServerRequest& op) {
@@ -192,285 +169,160 @@ void ServerTm::RecordHeldLockIn(Partition& part, DopId dop, DovId dov) {
   part.dop_derivation_locks[dop].push_back(dov);
 }
 
-void ServerTm::Execute(std::span<const ServerRequest> ops,
-                       std::span<ServerReply> replies, TxnId stage) {
-  // Choreography: runs wavefronts and waits on them — doing that from
-  // an executor would deadlock the mailbox.
+ServerReply ServerTm::Execute(const ServerRequest& op, TxnId stage) {
+  // Choreography: runs partition tasks and waits on them — doing that
+  // from an executor would deadlock the mailbox.
   CONCORD_ASSERT_OFF_EXECUTOR();
-  const size_t n = ops.size();
-  uint32_t kinds = 0;
-  size_t data_ops = 0;
-  for (const ServerRequest& op : ops) {
-    if (KindOf(op) & kControl) continue;
-    kinds |= KindOf(op);
-    ++data_ops;
+  ServerReply reply;
+  // Control legs (Prepare, Decide) are answered by DispatchBatch.
+  if (std::holds_alternative<PrepareRequest>(op) ||
+      std::holds_alternative<DecideRequest>(op)) {
+    return reply;
   }
-  if (data_ops > 1) {
-    ++parts_[0]->counters.pipelined_batches;
-    parts_[0]->counters.pipelined_ops += data_ops;
+  const DopId dop = DopOf(op);
+  const size_t pd = DopPart(dop);
+  Partition& dpart = *parts_[pd];
+  const bool finish = std::holds_alternative<CommitDopRequest>(op) ||
+                      std::holds_alternative<AbortDopRequest>(op);
+  const bool commit_outcome = std::holds_alternative<CommitDopRequest>(op);
+
+  if (const auto* begin = std::get_if<BeginDopRequest>(&op)) {
+    reply.status =
+        engine_.Run(pd, [&] { return BeginDopIn(dpart, dop, begin->da); });
+    return reply;
   }
 
-  /// Per-op dispatcher state carried between steps: the DOP's DA, a
-  /// checkout's acquired lock, an End-of-DOP's extracted locks. A
-  /// one-op call keeps it on the stack.
-  struct OpState {
+  // End-of-DOP, either outcome: deregister and release the DOP's
+  // derivation locks ("the server-TM is firstly asked to release the
+  // derivation locks held", Sect. 5.2). The extraction runs on the
+  // DOP's partition; the releases then fan out per DOV partition.
+  if (finish && !stage.valid()) {
     DaId da;
-    bool lock_acquired = false;
     std::vector<DovId> held;
-  };
-  OpState single;
-  std::vector<OpState> many(n > 1 ? n : 0);
-  OpState* state = n > 1 ? many.data() : &single;
-  /// Phase-1 pieces for `stage`'s ledger entry, appended at the end.
-  const bool staging = stage.valid();
-  PreparedTxn staged;
-
-  /// The ops of `mask` kinds that no earlier step has failed.
-  auto live = [&](uint32_t mask) {
-    return [&, mask](size_t i) {
-      return (KindOf(ops[i]) & mask) && replies[i].status.ok();
-    };
-  };
-  auto dop_part = [&](size_t i) { return DopPart(DopOf(ops[i])); };
-  auto dov_part = [&](size_t i) {
-    return DovPart(std::get<CheckoutRequest>(ops[i]).dov);
-  };
-  /// One step: the eligible ops grouped by `part_of(i)`, ONE task per
-  /// partition running `body(i)` over its group in envelope order. An
-  /// eligible set on one partition is a single Run with no grouping.
-  auto wavefront = [&](auto eligible, auto part_of, auto body) {
-    size_t first = n;
-    size_t only = 0;
-    bool spread = false;
-    for (size_t i = 0; i < n && !spread; ++i) {
-      if (!eligible(i)) continue;
-      if (first == n) {
-        first = i;
-        only = part_of(i);
-      } else {
-        spread = part_of(i) != only;
-      }
+    reply.status = engine_.Run(
+        pd, [&] { return FinishExtractIn(dpart, dop, &da, &held); });
+    if (!reply.status.ok()) return reply;
+    std::vector<std::pair<DovId, DaId>> releases;
+    for (DovId dov : held) releases.emplace_back(dov, da);
+    ReleaseDerivationLocks(releases);
+    if (commit_outcome) {
+      ++dpart.counters.dops_committed;
+    } else {
+      ++dpart.counters.dops_aborted;
     }
-    if (first == n) return;
-    if (!spread) {
-      engine_.Run(only, [&] {
-        for (size_t i = first; i < n; ++i) {
-          if (eligible(i)) body(i);
-        }
+    return reply;
+  }
+
+  // The registration lookup. A staged End-of-DOP is validated here, so
+  // its reply carries the typed failure (kUnknownDop after a crash,
+  // kNotFound for a stranger).
+  auto da = engine_.Run(pd, [&] { return LookupDopIn(dpart, dop); });
+  if (!da.ok()) {
+    reply.status = da.status();
+    return reply;
+  }
+  // Adds this op's phase-1 piece to `stage`'s ledger entry: one task
+  // on the txn's partition.
+  auto add_to_stage = [&](auto add) {
+    size_t pt = TxnPart(stage);
+    Partition& tpart = *parts_[pt];
+    engine_.Run(pt, [&] {
+      MutexLock lock(&tpart.mu);
+      add(tpart.prepared[stage]);
+    });
+  };
+
+  if (std::holds_alternative<DaOfDopRequest>(op)) {
+    reply.body = DaOfDopReply{*da};
+  } else if (finish) {
+    // A staged End-of-DOP only records its outcome for Decide(commit).
+    add_to_stage([&](PreparedTxn& entry) {
+      entry.staged_finishes.push_back({dop, commit_outcome});
+    });
+  } else if (const auto* checkout = std::get_if<CheckoutRequest>(&op)) {
+    // Short lock and scope test on the dispatcher. The scope authority
+    // may re-enter the cooperation manager's recursive mutex, which
+    // THIS thread may already hold (event delivery running a tool), so
+    // an executor-side callout would deadlock against it. The short
+    // lock is accounting (a depth counter), so taking it off the owning
+    // executor is safe.
+    DovId dov = checkout->dov;
+    size_t pv = DovPart(dov);
+    locks_.Slice(pv).AcquireShort(dov);
+    // Test 1: the DOV must belong to the scope of the DOP's DA.
+    if (!scope_authority_->InScope(*da, dov)) {
+      locks_.Slice(pv).ReleaseShort(dov);
+      ++parts_[pv]->counters.checkouts_denied_scope;
+      reply.status = Status::PermissionDenied(
+          dov.ToString() + " is not in the scope of " + da->ToString());
+      return reply;
+    }
+    if (pd != pv) ++parts_[pv]->counters.cross_partition_ops;
+    // Lock test and read on the DOV's partition; an acquired lock is
+    // then recorded on the DOP's partition (End-of-DOP releases it) and
+    // pushed to the workstation caches.
+    bool locked = engine_.Run(
+        pv, [&] { return CheckoutStepIn(pv, *checkout, *da, &reply); });
+    if (!locked) return reply;
+    engine_.Run(pd, [&] { RecordHeldLockIn(dpart, dop, dov); });
+    PublishDerivationLock(dov, *da);
+    // Decide(abort) releases a phase-1 checkout's lock again.
+    if (stage.valid() && reply.status.ok()) {
+      add_to_stage([&](PreparedTxn& entry) {
+        entry.acquired_locks.emplace_back(dov, *da);
       });
-      return;
     }
-    std::vector<std::vector<size_t>> by_part(engine_.count());
-    std::vector<size_t> touched;
-    for (size_t i = first; i < n; ++i) {
-      if (!eligible(i)) continue;
-      size_t p = part_of(i);
-      if (by_part[p].empty()) touched.push_back(p);
-      by_part[p].push_back(i);
-    }
-    engine_.RunEach(touched, [&](size_t p) {
-      for (size_t i : by_part[p]) body(i);
-    });
-  };
-
-  // Step 1 — Begin-of-DOP registrations, before the lookups: an
-  // envelope may open a DOP and work in it.
-  if (kinds & kBegin) {
-    wavefront(live(kBegin), dop_part, [&](size_t i) {
-      const auto& begin = std::get<BeginDopRequest>(ops[i]);
-      replies[i].status =
-          BeginDopIn(*parts_[DopPart(begin.dop)], begin.dop, begin.da);
-    });
-  }
-
-  // Step 2 — registration lookups, one task per DOP partition. A staged
-  // End-of-DOP is validated here, so its reply carries the typed
-  // failure (kUnknownDop after a crash, kNotFound for a stranger).
-  const uint32_t looked_up =
-      kCheckout | kCheckin | kDaOfDop | (staging ? kFinish : 0);
-  if (kinds & looked_up) {
-    wavefront(live(looked_up), dop_part, [&](size_t i) {
-      DopId dop = DopOf(ops[i]);
-      auto da = LookupDopIn(*parts_[DopPart(dop)], dop);
-      if (!da.ok()) {
-        replies[i].status = da.status();
-        return;
-      }
-      state[i].da = *da;
-      if (KindOf(ops[i]) & kDaOfDop) replies[i].body = DaOfDopReply{*da};
-    });
-  }
-  // Dispatcher interlude — checkin placement checks, and the checkouts'
-  // short locks and scope tests. The scope authority may re-enter the
-  // cooperation manager's recursive mutex, which THIS thread may
-  // already hold (event delivery running a tool), so an executor-side
-  // callout would deadlock against it. The short lock is accounting (a
-  // depth counter), so taking it off the owning executor is safe.
-  if (kinds & (kCheckout | kCheckin)) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!replies[i].status.ok()) continue;
-      if (const auto* checkin = std::get_if<CheckinRequest>(&ops[i])) {
-        // In a sharded plane the new DOV must be created on (and
-        // id-stamped by) the DA's home node; a checkin routed here via
-        // a stale workstation placement cache is rejected with the
-        // typed status the client-TM refreshes on.
-        replies[i].status =
-            CheckOwnsDa(*parts_[DopPart(checkin->dop)], state[i].da);
-        continue;
-      }
-      const auto* checkout = std::get_if<CheckoutRequest>(&ops[i]);
-      if (checkout == nullptr) continue;
-      DovId dov = checkout->dov;
-      size_t pv = DovPart(dov);
-      locks_.Slice(pv).AcquireShort(dov);
-      // Test 1: the DOV must belong to the scope of the DOP's DA.
-      if (!scope_authority_->InScope(state[i].da, dov)) {
-        locks_.Slice(pv).ReleaseShort(dov);
-        ++parts_[pv]->counters.checkouts_denied_scope;
-        replies[i].status = Status::PermissionDenied(
-            dov.ToString() + " is not in the scope of " +
-            state[i].da.ToString());
-        continue;
-      }
-      if (DopPart(checkout->dop) != pv) {
-        ++parts_[pv]->counters.cross_partition_ops;
+  } else {
+    const auto& checkin = std::get<CheckinRequest>(op);
+    // In a sharded plane the new DOV must be created on (and id-stamped
+    // by) the DA's home node; a checkin routed here via a stale
+    // workstation placement cache is rejected with the typed status the
+    // client-TM refreshes on.
+    reply.status = CheckOwnsDa(dpart, *da);
+    if (!reply.status.ok()) return reply;
+    // A staged checkin runs the integrity test now — the vote must be
+    // honest — but publishes nothing: the record reaches the repository
+    // only at Decide(commit). The check is deterministic (the schema is
+    // fixed at design start), so a staged checkin cannot fail integrity
+    // at apply time.
+    if (stage.valid()) {
+      Status integrity = repository_->schema().Validate(checkin.object);
+      if (!integrity.ok()) {
+        ++dpart.counters.checkin_failures;
+        CONCORD_INFO("server-tm", "staged checkin integrity failure for "
+                                      << dop.ToString() << ": "
+                                      << integrity.ToString());
+        reply.status = std::move(integrity);
+        return reply;
       }
     }
-  }
-
-  // Step 3 — checkout lock tests and reads, one task per DOV partition;
-  // then each acquired lock is recorded on its DOP's partition (before
-  // step 5, so a finish in the same call releases it) and pushed to
-  // the workstation caches.
-  if (kinds & kCheckout) {
-    wavefront(live(kCheckout), dov_part, [&](size_t i) {
-      state[i].lock_acquired =
-          CheckoutStepIn(dov_part(i), std::get<CheckoutRequest>(ops[i]),
-                         state[i].da, &replies[i]);
-    });
-    auto locked = [&](size_t i) { return state[i].lock_acquired; };
-    wavefront(locked, dop_part, [&](size_t i) {
-      const auto& checkout = std::get<CheckoutRequest>(ops[i]);
-      RecordHeldLockIn(*parts_[DopPart(checkout.dop)], checkout.dop,
-                       checkout.dov);
-    });
-    for (size_t i = 0; i < n; ++i) {
-      if (!locked(i)) continue;
-      DovId dov = std::get<CheckoutRequest>(ops[i]).dov;
-      PublishDerivationLock(dov, state[i].da);
-      // Decide(abort) releases a phase-1 checkout's lock again.
-      if (staging && replies[i].status.ok()) {
-        staged.acquired_locks.emplace_back(dov, state[i].da);
-      }
-    }
-  }
-
-  // Step 4 — checkins, in envelope order: each is its own repository
-  // transaction on the new DOV's partition. A staged checkin runs the
-  // integrity test now — the vote must be honest — but publishes
-  // nothing: the record reaches the repository only at Decide(commit).
-  // The check is deterministic (the schema is fixed at design start),
-  // so a staged checkin cannot fail integrity at apply time.
-  if (kinds & kCheckin) {
-    auto checkin_live = live(kCheckin);
-    for (size_t i = 0; i < n; ++i) {
-      if (!checkin_live(i)) continue;
-      const auto& checkin = std::get<CheckinRequest>(ops[i]);
-      if (staging) {
-        Status integrity = repository_->schema().Validate(checkin.object);
-        if (!integrity.ok()) {
-          ++parts_[dop_part(i)]->counters.checkin_failures;
-          CONCORD_INFO("server-tm", "staged checkin integrity failure for "
-                                        << checkin.dop.ToString() << ": "
-                                        << integrity.ToString());
-          replies[i].status = std::move(integrity);
-          continue;
-        }
-      }
-      storage::DovRecord record =
-          NewRecord(state[i].da, checkin.dop, checkin.object,
-                    checkin.predecessors, checkin.created_at);
-      DovId new_id = record.id;
-      if (staging) {
-        staged.staged_checkins.push_back(std::move(record));
-        replies[i].body = CheckinReply{new_id};
-        continue;
-      }
-      if (DopPart(checkin.dop) != DovPart(new_id)) {
+    storage::DovRecord record = NewRecord(*da, dop, checkin.object,
+                                          checkin.predecessors,
+                                          checkin.created_at);
+    DovId new_id = record.id;
+    if (stage.valid()) {
+      add_to_stage([&](PreparedTxn& entry) {
+        entry.staged_checkins.push_back(std::move(record));
+      });
+    } else {
+      if (pd != DovPart(new_id)) {
         ++parts_[DovPart(new_id)]->counters.cross_partition_ops;
       }
-      replies[i].status = ApplyCheckin(std::move(record));
-      if (replies[i].status.ok()) replies[i].body = CheckinReply{new_id};
+      // Its own repository transaction on the new DOV's partition.
+      reply.status = ApplyCheckin(std::move(record));
     }
+    if (reply.status.ok()) reply.body = CheckinReply{new_id};
   }
-
-  // Step 5 — End-of-DOP, either outcome: deregister and release the
-  // DOP's derivation locks ("the server-TM is firstly asked to release
-  // the derivation locks held", Sect. 5.2). The extractions run on the
-  // DOPs' partitions; the releases then fan out per DOV partition in
-  // one combined pass. A staged End-of-DOP (validated in step 2) only
-  // records its outcome for Decide(commit).
-  if (staging) {
-    auto finished = live(kFinish);
-    for (size_t i = 0; i < n; ++i) {
-      if (finished(i)) {
-        staged.staged_finishes.push_back(
-            {DopOf(ops[i]), std::holds_alternative<CommitDopRequest>(ops[i])});
-      }
-    }
-  } else if (kinds & kFinish) {
-    wavefront(live(kFinish), dop_part, [&](size_t i) {
-      DopId dop = DopOf(ops[i]);
-      replies[i].status = FinishExtractIn(*parts_[DopPart(dop)], dop,
-                                          &state[i].da, &state[i].held);
-    });
-    auto finished = live(kFinish);
-    std::vector<std::pair<DovId, DaId>> releases;
-    for (size_t i = 0; i < n; ++i) {
-      if (!finished(i)) continue;
-      for (DovId dov : state[i].held) releases.emplace_back(dov, state[i].da);
-      PartitionCounters& counters = parts_[dop_part(i)]->counters;
-      if (std::holds_alternative<CommitDopRequest>(ops[i])) {
-        ++counters.dops_committed;
-      } else {
-        ++counters.dops_aborted;
-      }
-    }
-    ReleaseDerivationLocks(releases);
-  }
-
-  // The staged pieces join the txn's ledger entry in one task.
-  if (staged.staged_checkins.empty() && staged.staged_finishes.empty() &&
-      staged.acquired_locks.empty()) {
-    return;
-  }
-  auto append = [](auto& to, auto& from) {
-    to.insert(to.end(), std::make_move_iterator(from.begin()),
-              std::make_move_iterator(from.end()));
-  };
-  Partition& tpart = *parts_[TxnPart(stage)];
-  engine_.Run(TxnPart(stage), [&] {
-    MutexLock lock(&tpart.mu);
-    PreparedTxn& entry = tpart.prepared[stage];
-    append(entry.staged_checkins, staged.staged_checkins);
-    append(entry.staged_finishes, staged.staged_finishes);
-    append(entry.acquired_locks, staged.acquired_locks);
-  });
-}
-
-ServerReply ServerTm::RunOne(ServerRequest op) {
-  ServerReply reply;
-  Execute({&op, 1}, {&reply, 1});
   return reply;
 }
 
 Status ServerTm::BeginDop(DopId dop, DaId da) {
-  return RunOne(BeginDopRequest{dop, da}).status;
+  return Execute(BeginDopRequest{dop, da}).status;
 }
 
 Result<storage::DovRecord> ServerTm::Checkout(DopId dop, DovId dov,
                                               bool take_derivation_lock) {
-  ServerReply reply = RunOne(CheckoutRequest{dop, dov, take_derivation_lock});
+  ServerReply reply = Execute(CheckoutRequest{dop, dov, take_derivation_lock});
   CONCORD_RETURN_NOT_OK(reply.status);
   return std::move(std::get<CheckoutReply>(reply.body).record);
 }
@@ -478,22 +330,22 @@ Result<storage::DovRecord> ServerTm::Checkout(DopId dop, DovId dov,
 Result<DovId> ServerTm::Checkin(DopId dop, storage::DesignObject object,
                                 const std::vector<DovId>& predecessors,
                                 SimTime created_at) {
-  ServerReply reply = RunOne(
+  ServerReply reply = Execute(
       CheckinRequest{dop, std::move(object), predecessors, created_at});
   CONCORD_RETURN_NOT_OK(reply.status);
   return std::get<CheckinReply>(reply.body).dov;
 }
 
 Status ServerTm::CommitDop(DopId dop) {
-  return RunOne(CommitDopRequest{dop}).status;
+  return Execute(CommitDopRequest{dop}).status;
 }
 
 Status ServerTm::AbortDop(DopId dop) {
-  return RunOne(AbortDopRequest{dop}).status;
+  return Execute(AbortDopRequest{dop}).status;
 }
 
 Result<DaId> ServerTm::DaOfDop(DopId dop) {
-  ServerReply reply = RunOne(DaOfDopRequest{dop});
+  ServerReply reply = Execute(DaOfDopRequest{dop});
   CONCORD_RETURN_NOT_OK(reply.status);
   return std::get<DaOfDopReply>(reply.body).da;
 }
@@ -979,8 +831,6 @@ ServerTmStats ServerTm::partition_stats(size_t p) const {
   s.txns_decided_abort = c.txns_decided_abort.load(std::memory_order_relaxed);
   s.cross_partition_ops =
       c.cross_partition_ops.load(std::memory_order_relaxed);
-  s.pipelined_batches = c.pipelined_batches.load(std::memory_order_relaxed);
-  s.pipelined_ops = c.pipelined_ops.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -1002,8 +852,6 @@ ServerTmStats ServerTm::stats() const {
     total.txns_decided_commit += s.txns_decided_commit;
     total.txns_decided_abort += s.txns_decided_abort;
     total.cross_partition_ops += s.cross_partition_ops;
-    total.pipelined_batches += s.pipelined_batches;
-    total.pipelined_ops += s.pipelined_ops;
   }
   return total;
 }

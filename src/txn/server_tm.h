@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -52,9 +51,9 @@ struct ServerTmStats {
   /// (e.g. a lock-taking checkout whose DOP and DOV live on different
   /// executors) — the intra-node messaging cost of partitioning.
   uint64_t cross_partition_ops = 0;
-  /// Execute calls carrying more than one data op (independent
-  /// envelopes run as one wavefront set), and the data ops they carried.
-  uint64_t pipelined_batches = 0;
+  /// Always 0: one executor call runs one data op, so no call carries
+  /// several. Kept only because bench/e2e reads it; the benchmark's
+  /// next change deletes it.
   uint64_t pipelined_ops = 0;
 };
 
@@ -73,16 +72,18 @@ struct ServerTmStats {
 ///  - lock-table slices (ServerLockTable) and the repository's
 ///    sub-shards live on DovPartitionOf(dov);
 ///  - the prepared-2PC ledger lives on TxnPartitionOf(txn).
-/// A public operation is a choreography run by the DISPATCHING thread
-/// (the RPC handler): it runs each state-touching step as a task of
-/// the owning partition (PartitionEngine::Run — on the dispatcher
-/// itself when the partition is idle, else through its mailbox) and
-/// waits for it; steps never hop partitions themselves, so executors
-/// cannot deadlock on each other. Scope-authority callouts and
-/// invalidation publishes also stay on the dispatcher — the
-/// cooperation manager's recursive mutex may be held by that very
-/// thread (event delivery running a tool), and an executor-side
-/// callout would deadlock against it.
+/// Each data op is one Execute call, a choreography run by the
+/// DISPATCHING thread (the RPC handler): it runs each state-touching
+/// step of that op as a task of the owning partition
+/// (PartitionEngine::Run — on the dispatcher itself when the partition
+/// is idle, else through its mailbox) and waits for it; steps never
+/// hop partitions themselves, so executors cannot deadlock on each
+/// other. An envelope's ops are separate calls, in envelope order
+/// (DispatchBatch). Scope-authority callouts and invalidation
+/// publishes also stay on the dispatcher — the cooperation manager's
+/// recursive mutex may be held by that very thread (event delivery
+/// running a tool), and an executor-side callout would deadlock
+/// against it.
 ///
 /// K == 1 (the default) spawns no threads and executes every step
 /// inline on the caller — bit-identical to the pre-partitioning
@@ -117,29 +118,17 @@ class ServerTm {
   /// placement (the default) keeps the single-server behaviour.
   void JoinPlane(const PlacementMap* placement) { placement_ = placement; }
 
-  /// The server-TM's one executor: runs the data ops of `ops`
-  /// (Begin-of-DOP, checkout, checkin, End-of-DOP, DA-of-DOP) and fills
-  /// `replies` positionally. Control legs (Prepare, Decide) are skipped
-  /// and their replies left untouched; every data op's reply must
-  /// arrive default-constructed. The ops are treated as one
-  /// independent set and execute in steps, each of which gives every
-  /// partition it touches ONE task carrying all of its ops in envelope
-  /// order, the last of them run by the dispatcher itself:
-  ///  1. Begin-of-DOP registrations (an envelope may open a DOP and
-  ///     work in it);
-  ///  2. registration lookups for checkouts, checkins and DA-of-DOP
-  ///     reads, then — on the dispatcher — the checkin placement
-  ///     checks and the checkouts' short locks and scope tests;
-  ///  3. per-DOV checkout steps (Sect. 5.2: lock-compatibility test,
-  ///     optional derivation-lock acquisition, read), then the held
-  ///     lock records and their invalidation pushes;
-  ///  4. checkins, in envelope order, each its own repository
-  ///     transaction;
-  ///  5. End-of-DOP extractions with their lock-release fan-out.
-  /// A lock-taking checkout is therefore recorded before its DOP's
-  /// End-of-DOP in the same call releases it. A one-op call runs the
-  /// same partition tasks the op alone needs, and an op set on one
-  /// partition runs each step as a single Run.
+  /// The server-TM's one executor: runs the one data op `op`
+  /// (Begin-of-DOP, checkout, checkin, End-of-DOP or DA-of-DOP) and
+  /// returns its reply. It runs only the partition tasks that op needs:
+  /// the DOP's registration (Begin-of-DOP, the lookup, or End-of-DOP's
+  /// extraction), then a checkout's lock test and read on the DOV's
+  /// partition and, if it took a derivation lock, the lock's record on
+  /// the DOP's partition; a checkin's repository transaction on the new
+  /// DOV's partition; End-of-DOP's lock releases, one task per DOV
+  /// partition that holds one. Scope tests, placement checks and
+  /// invalidation pushes stay on the calling thread. A control leg
+  /// (Prepare, Decide) gets a default reply: DispatchBatch answers it.
   ///
   /// A valid `stage` makes the call phase 1 of that cross-shard 2PC
   /// transaction (see the ledger section below). Begin-of-DOP, DA-of-DOP
@@ -147,13 +136,12 @@ class ServerTm {
   /// also records it for Decide(abort) to release. A checkin passes its
   /// lookup, placement check and schema integrity test and is answered
   /// with its new DOV id, but its record is staged, not applied; an
-  /// End-of-DOP is validated by the step-2 lookup and staged, not
-  /// extracted. Every staged piece reaches the txn's ledger slice in
-  /// ONE task at the end of the call. Nothing is persisted here.
-  void Execute(std::span<const ServerRequest> ops,
-               std::span<ServerReply> replies, TxnId stage = TxnId());
+  /// End-of-DOP is validated by the lookup and staged, not extracted.
+  /// The staged piece joins the txn's ledger slice in one Run on
+  /// TxnPart(stage). Nothing is persisted here.
+  ServerReply Execute(const ServerRequest& op, TxnId stage = TxnId());
 
-  /// Single-op forms of Execute, for Decide, tests and benches.
+  /// Typed one-op forms of Execute, for Decide, tests and benches.
   ///
   /// Registers a new DOP for DA `da`. The server remembers the
   /// association for scope checks and lock release.
@@ -291,8 +279,6 @@ class ServerTm {
     std::atomic<uint64_t> txns_decided_commit{0};
     std::atomic<uint64_t> txns_decided_abort{0};
     std::atomic<uint64_t> cross_partition_ops{0};
-    std::atomic<uint64_t> pipelined_batches{0};
-    std::atomic<uint64_t> pipelined_ops{0};
   };
 
   /// One staged (phase-1-executed, undecided) transaction.
@@ -335,9 +321,6 @@ class ServerTm {
   size_t DopPart(DopId dop) const { return DopPartitionOf(dop, engine_.count()); }
   size_t DovPart(DovId dov) const { return DovPartitionOf(dov, engine_.count()); }
   size_t TxnPart(TxnId txn) const { return TxnPartitionOf(txn, engine_.count()); }
-
-  /// Execute over the single op `op`.
-  ServerReply RunOne(ServerRequest op);
 
   /// The partition-resident body of a registration lookup (runs on the
   /// owner; see DaOfDop).

@@ -59,10 +59,8 @@ struct Plane : bench::TmEnv {
 /// One phase-1 data op as a direct staged executor call: it stages in
 /// `txn`'s ledger entry but, unlike a phase-1 envelope through
 /// DispatchBatch, persists nothing.
-ServerReply Staged(ServerTm& tm, TxnId txn, ServerRequest op) {
-  ServerReply reply;
-  tm.Execute({&op, 1}, {&reply, 1}, txn);
-  return reply;
+ServerReply Staged(ServerTm& tm, TxnId txn, const ServerRequest& op) {
+  return tm.Execute(op, txn);
 }
 
 /// The new DOV id a staged checkin answered with (invalid on failure).

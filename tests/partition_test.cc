@@ -1,13 +1,16 @@
 // Shared-nothing server execution: the PartitionEngine executor core,
 // the partition-routing helpers, the sliced ServerLockTable, and the
 // partitioned ServerTm choreography — functional parity with the
-// single-executor TM at K > 1, per-partition counter accumulation,
-// pipelined checkout envelopes, and the deterministic crash drain.
+// single-executor TM at K > 1, per-partition counter accumulation, the
+// partition tasks each one-op executor call costs, independent
+// envelopes run op by op in envelope order, and the deterministic
+// crash drain.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <thread>
@@ -399,9 +402,7 @@ TEST_P(PartitionedTmTest, DenialsAndUnknownDopsKeepTheirTypedStatus) {
   // The staged (phase-1) forms keep the same typed failures and stage
   // nothing when they fail.
   auto staged = [&](TxnId txn, ServerRequest op) {
-    ServerReply reply;
-    server_->Execute({&op, 1}, {&reply, 1}, txn);
-    return reply;
+    return server_->Execute(op, txn);
   };
   TxnId stranger_txn(7);
   EXPECT_TRUE(staged(stranger_txn, CheckinRequest{DopId(99), MakeObj(1), {}, 0})
@@ -443,23 +444,24 @@ TEST_P(PartitionedTmTest, StatsAggregateExactlyFromPartitionSlices) {
   }
 }
 
-TEST_P(PartitionedTmTest, IndependentCheckoutsArePositionalAndCountPipelining) {
+TEST_P(PartitionedTmTest, IndependentCheckoutsArePositional) {
   std::vector<DovId> inputs;
   for (int i = 0; i < 8; ++i) inputs.push_back(Seed(DaId(1), i));
   DopId dop(5);
   ASSERT_TRUE(server_->BeginDop(dop, DaId(1)).ok());
 
-  std::vector<ServerRequest> ops;
+  BatchRequest batch;
+  batch.independent = true;
   for (DovId input : inputs) {
-    ops.emplace_back(CheckoutRequest{dop, input, false});
+    batch.ops.emplace_back(CheckoutRequest{dop, input, false});
   }
   // Slot 3: unregistered DOP; slot 5: unknown DOV. Replies must stay
-  // positional around the failures.
-  std::get<CheckoutRequest>(ops[3]).dop = DopId(99);
-  std::get<CheckoutRequest>(ops[5]).dov = DovId(123456);
-  std::vector<ServerReply> replies(ops.size());
-  server_->Execute(ops, replies);
-  ASSERT_EQ(replies.size(), ops.size());
+  // positional around the failures, and the independent envelope runs
+  // the ops after them.
+  std::get<CheckoutRequest>(batch.ops[3]).dop = DopId(99);
+  std::get<CheckoutRequest>(batch.ops[5]).dov = DovId(123456);
+  std::vector<ServerReply> replies = DispatchBatch(*server_, batch).ops;
+  ASSERT_EQ(replies.size(), batch.ops.size());
   for (size_t i = 0; i < replies.size(); ++i) {
     if (i == 3) {
       EXPECT_TRUE(replies[i].status.IsNotFound());
@@ -473,28 +475,28 @@ TEST_P(PartitionedTmTest, IndependentCheckoutsArePositionalAndCountPipelining) {
     }
   }
   ServerTmStats stats = server_->stats();
-  EXPECT_EQ(stats.pipelined_batches, 1u);
-  EXPECT_EQ(stats.pipelined_ops, ops.size());
   EXPECT_EQ(stats.checkouts, 6u);
 }
 
-TEST_P(PartitionedTmTest, OneCallOrdersBeginCheckoutCheckinAndFinish) {
+TEST_P(PartitionedTmTest, IndependentEnvelopeRunsItsOpsInOrder) {
   DovId input = Seed(DaId(1), 5);
   DopId other(21);
   ASSERT_TRUE(server_->BeginDop(other, DaId(2)).ok());
 
   DopId dop(20);
-  std::vector<ServerRequest> ops;
-  ops.emplace_back(BeginDopRequest{dop, DaId(1)});
-  ops.emplace_back(CheckoutRequest{dop, input, /*take_derivation_lock=*/true});
-  ops.emplace_back(CommitDopRequest{dop});
-  ops.emplace_back(CheckinRequest{other, MakeObj(7), {input}, clock_.Now()});
-  std::vector<ServerReply> replies(ops.size());
-  server_->Execute(ops, replies);
+  BatchRequest batch;
+  batch.independent = true;
+  batch.ops.emplace_back(BeginDopRequest{dop, DaId(1)});
+  batch.ops.emplace_back(
+      CheckoutRequest{dop, input, /*take_derivation_lock=*/true});
+  batch.ops.emplace_back(CommitDopRequest{dop});
+  batch.ops.emplace_back(
+      CheckinRequest{other, MakeObj(7), {input}, clock_.Now()});
+  std::vector<ServerReply> replies = DispatchBatch(*server_, batch).ops;
   for (const ServerReply& reply : replies) {
     ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
   }
-  // The begin landed before the lookup: the checkout found its DOP.
+  // The begin ran before the checkout: the checkout found its DOP.
   auto* checkout = std::get_if<CheckoutReply>(&replies[1].body);
   ASSERT_NE(checkout, nullptr);
   EXPECT_EQ(checkout->record.id, input);
@@ -511,36 +513,64 @@ TEST_P(PartitionedTmTest, OneCallOrdersBeginCheckoutCheckinAndFinish) {
   ServerTmStats stats = server_->stats();
   EXPECT_EQ(stats.dops_committed, 1u);
   EXPECT_EQ(stats.checkins, 1u);
-  EXPECT_EQ(stats.pipelined_batches, 1u);
-  EXPECT_EQ(stats.pipelined_ops, ops.size());
 }
 
-TEST_P(PartitionedTmTest, IndependentCheckoutEnvelopeTakesPipelinedPath) {
-  std::vector<DovId> inputs;
-  for (int i = 0; i < 6; ++i) inputs.push_back(Seed(DaId(1), i));
-  DopId dop(11);
-  ASSERT_TRUE(server_->BeginDop(dop, DaId(1)).ok());
-
-  BatchRequest batch;
-  batch.independent = true;
-  for (DovId input : inputs) {
-    batch.ops.emplace_back(CheckoutRequest{dop, input, false});
+// The partition tasks one executor call costs at K = 4, counted as
+// the delta of the summed mailbox-plus-borrowed task counters: each op
+// runs exactly the tasks its state needs, and no hop more.
+class PartitionedTmTaskCostTest : public PartitionedTmTest {
+ protected:
+  uint64_t TasksOf(const std::function<void()>& call) {
+    auto total = [&] {
+      uint64_t tasks = 0;
+      for (size_t p = 0; p < server_->partition_count(); ++p) {
+        tasks += server_->partition_queue_stats(p).tasks;
+      }
+      return tasks;
+    };
+    uint64_t before = total();
+    call();
+    return total() - before;
   }
-  BatchReply reply = DispatchBatch(*server_, batch);
-  ASSERT_EQ(reply.ops.size(), inputs.size());
-  for (size_t i = 0; i < reply.ops.size(); ++i) {
-    ASSERT_TRUE(reply.ops[i].status.ok());
-    auto* body = std::get_if<CheckoutReply>(&reply.ops[i].body);
-    ASSERT_NE(body, nullptr);
-    EXPECT_EQ(body->record.id, inputs[i]);
-  }
-  EXPECT_EQ(server_->stats().pipelined_batches, 1u);
+};
 
-  // A dependent envelope of the same ops must NOT take the pipelined
-  // path (order could matter to the client).
-  batch.independent = false;
-  DispatchBatch(*server_, batch);
-  EXPECT_EQ(server_->stats().pipelined_batches, 1u);
+INSTANTIATE_TEST_SUITE_P(Partitions, PartitionedTmTaskCostTest,
+                         ::testing::Values(4));
+
+TEST_P(PartitionedTmTaskCostTest, EachOneOpCallRunsOnlyTheTasksItNeeds) {
+  DovId a = Seed(DaId(1), 1);
+  DovId b = Seed(DaId(1), 2);
+  ASSERT_NE(DovPartitionOf(a, 4), DovPartitionOf(b, 4));
+  DopId dop(1), other(2);
+  // Registration on the DOP's partition.
+  EXPECT_EQ(TasksOf([&] { EXPECT_TRUE(server_->BeginDop(dop, DaId(1)).ok()); }),
+            1u);
+  EXPECT_EQ(
+      TasksOf([&] { EXPECT_TRUE(server_->BeginDop(other, DaId(1)).ok()); }),
+      1u);
+  // The lookup alone.
+  EXPECT_EQ(TasksOf([&] { EXPECT_TRUE(server_->DaOfDop(dop).ok()); }), 1u);
+  // Lookup, then the lock test and read on the DOV's partition.
+  EXPECT_EQ(
+      TasksOf([&] { EXPECT_TRUE(server_->Checkout(other, a, false).ok()); }),
+      2u);
+  // ... plus the held lock's record on the DOP's partition.
+  EXPECT_EQ(TasksOf([&] { EXPECT_TRUE(server_->Checkout(dop, a, true).ok()); }),
+            3u);
+  EXPECT_EQ(TasksOf([&] { EXPECT_TRUE(server_->Checkout(dop, b, true).ok()); }),
+            3u);
+  // Lookup, then the repository transaction on the new DOV's partition.
+  EXPECT_EQ(TasksOf([&] {
+              EXPECT_TRUE(
+                  server_->Checkin(other, MakeObj(3), {a}, clock_.Now()).ok());
+            }),
+            2u);
+  // Extraction, then one release task per DOV partition holding a lock.
+  EXPECT_EQ(TasksOf([&] { EXPECT_TRUE(server_->CommitDop(dop).ok()); }), 3u);
+  EXPECT_FALSE(server_->locks().DerivationHolder(a).valid());
+  EXPECT_FALSE(server_->locks().DerivationHolder(b).valid());
+  // No locks held: the extraction alone.
+  EXPECT_EQ(TasksOf([&] { EXPECT_TRUE(server_->AbortDop(other).ok()); }), 1u);
 }
 
 TEST_P(PartitionedTmTest, CrashWipesAllPartitionsAndRecoverRestores) {
@@ -636,13 +666,13 @@ TEST(PartitionCrashDrainTest, CrashRecoverUnderConcurrentTraffic) {
 }
 
 // Concurrent DispatchBatch traffic on a two-partition node: Begin,
-// pipelined checkout (with a derivation lock on the other partition
-// than the DOP's), and checkin+commit envelopes — half degenerate
-// [Prepare, ops, Decide], half two-phase — from four designers, while
-// a reader polls stats and dispatches registration reads. Tasks borrow
-// idle partitions and queue behind busy ones; the counts and locks
-// must come out exact. Run under TSan in CI (thread asserts on in the
-// sanitizer legs).
+// an independent two-checkout envelope (with a derivation lock on the
+// other partition than the DOP's), and checkin+commit envelopes — half
+// degenerate [Prepare, ops, Decide], half two-phase — from four
+// designers, while a reader polls stats and dispatches registration
+// reads. Tasks borrow idle partitions and queue behind busy ones; the
+// counts and locks must come out exact. Run under TSan in CI (thread
+// asserts on in the sanitizer legs).
 TEST(PartitionedDispatchTest, ConcurrentEnvelopesCountEveryCheckinOnce) {
   SimClock clock;
   rpc::Network network(&clock, 1);

@@ -14,12 +14,11 @@ Enforces the rules documented in docs/CONCURRENCY.md:
 
   submit-wait     No submit-and-wait from executor context: a task body
                   handed to PartitionEngine::Post/Run/RunEach (or a
-                  dispatch helper that forwards to them, e.g. the
-                  wavefront lambda in server_tm.cc, or
-                  ExecutorPool::Submit) must
-                  not itself call Post/Run/Submit/Drain or block on a
-                  future's .get()/.wait() — an executor waiting on its
-                  own mailbox deadlocks.
+                  dispatch helper that forwards to them, e.g.
+                  ExecutorPool::Submit) must not itself call
+                  Post/Run/Submit/Drain or block on a future's
+                  .get()/.wait() — an executor waiting on its own
+                  mailbox deadlocks.
 
   partition-in    Partition-resident helpers follow the `FooIn`
                   naming convention; every call site of such a helper
